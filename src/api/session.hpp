@@ -1,16 +1,19 @@
 // Session: the one entry point every front end shares.
 //
-// A Session owns, for its lifetime, the three resources a solver run
+// A Session owns, for its lifetime, the two resources a solver run
 // needs -- so consecutive runs amortize them instead of rebuilding them
 // per call (run_sweep's historical behavior):
 //
 //   * the work-helping ThreadPool jobs and their root shards execute on;
-//   * the ViewInterner arena: the interners backing every certificate
-//     (decision tables, final analyses) a run returns are retained and
-//     re-homed here, so artifacts from earlier runs stay replayable for
-//     as long as the Session lives;
 //   * the outcome history: the JSON-visible record of every named run,
 //     serializable as one topocon-sweep-v1 document (write_json).
+//
+// Certificates own their interners: every DecisionTable and final
+// DepthAnalysis a run returns holds its ViewInterner through a
+// shared_ptr, re-homed to the calling thread, so it stays replayable for
+// as long as the caller keeps it -- after the outcomes are dropped and
+// after the Session is gone -- and the Session itself retains nothing
+// per run beyond the history records.
 //
 // Determinism contract (inherited from the engine): for a fixed query
 // list, every field of the outcomes and every byte of the serialized
@@ -129,8 +132,8 @@ class Session {
 
   /// Runs the queries on the session pool; outcomes are indexed like
   /// `queries`, with every interner re-homed to the calling thread and
-  /// retained in the session arena. Appends the run's records to the
-  /// history under `name`. Throws std::invalid_argument on an invalid
+  /// owned by the certificates that use it. Appends the run's records to
+  /// the history under `name`. Throws std::invalid_argument on an invalid
   /// grid point (before anything runs).
   std::vector<sweep::JobOutcome> run(const std::string& name,
                                      const std::vector<Query>& queries,
@@ -158,8 +161,6 @@ class Session {
   SessionOptions options_;
   sweep::ThreadPool pool_;
   History history_;
-  /// Keeps certificate interners of past runs alive (see header comment).
-  std::vector<std::shared_ptr<ViewInterner>> interner_arena_;
 };
 
 }  // namespace topocon::api

@@ -31,7 +31,7 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
   // Bottom-up over levels; build the per-level aggregation maps.
   std::vector<std::vector<std::uint32_t>> masks_per_level(num_levels);
   {
-    const std::vector<PrefixState>& leaves = analysis.levels.back();
+    const FlatLevel& leaves = analysis.levels.back();
     value_mask.resize(leaves.size());
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const int comp = analysis.leaf_component[i];
@@ -45,7 +45,7 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
     masks_per_level[num_levels - 1] = value_mask;
   }
   for (std::size_t s = num_levels - 1; s-- > 0;) {
-    const std::vector<std::vector<int>>& children = analysis.children[s];
+    const ChildLinks& children = analysis.children[s];
     std::vector<std::uint32_t> up(analysis.levels[s].size(), 0);
     for (std::size_t i = 0; i < children.size(); ++i) {
       for (const int child : children[i]) {
@@ -62,10 +62,11 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
   table.decided_fraction_.assign(num_levels, 0.0);
   for (std::size_t s = 0; s < num_levels; ++s) {
     std::unordered_map<std::uint64_t, std::uint32_t> agg;
-    const std::vector<PrefixState>& level = analysis.levels[s];
+    const FlatLevel& level = analysis.levels[s];
     for (std::size_t i = 0; i < level.size(); ++i) {
+      const std::span<const ViewId> views = level.views(i);
       for (int p = 0; p < n; ++p) {
-        agg[key(p, level[i].views[static_cast<std::size_t>(p)])] |=
+        agg[key(p, views[static_cast<std::size_t>(p)])] |=
             masks_per_level[s][i];
       }
     }
@@ -77,18 +78,19 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
     // Diagnostics: multiplicity-weighted fraction of classes whose every
     // process has decided by the end of this round.
     std::uint64_t total = 0, decided = 0;
-    for (const PrefixState& state : level) {
-      total += state.multiplicity;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      total += level.multiplicity[i];
+      const std::span<const ViewId> views = level.views(i);
       bool all = true;
       for (int p = 0; p < n; ++p) {
         const auto it = table.by_level_[s].find(
-            key(p, state.views[static_cast<std::size_t>(p)]));
+            key(p, views[static_cast<std::size_t>(p)]));
         if (it == table.by_level_[s].end()) {
           all = false;
           break;
         }
       }
-      if (all) decided += state.multiplicity;
+      if (all) decided += level.multiplicity[i];
     }
     table.decided_fraction_[s] =
         total == 0 ? 0.0

@@ -1,13 +1,14 @@
 #include "core/epsilon_approx.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <map>
+#include <functional>
+#include <span>
 #include <unordered_map>
 
 #include "core/frontier.hpp"
-#include "core/union_find.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -36,6 +37,26 @@ struct StateKeyHash {
 };
 
 }  // namespace
+
+std::size_t FlatLevel::root_of(std::size_t i) const {
+  assert(i < size());
+  const auto it =
+      std::upper_bound(root_offsets.begin(), root_offsets.end(), i);
+  return static_cast<std::size_t>(it - root_offsets.begin()) - 1;
+}
+
+PrefixState FlatLevel::state(std::size_t i) const {
+  PrefixState out;
+  const std::span<const Value> x = inputs(i);
+  const std::span<const ViewId> v = views(i);
+  const std::span<const NodeMask> r = reach(i);
+  out.inputs.assign(x.begin(), x.end());
+  out.views.assign(v.begin(), v.end());
+  out.reach.assign(r.begin(), r.end());
+  out.adv_state = adv_state(i);
+  out.multiplicity = multiplicity[i];
+  return out;
+}
 
 std::vector<PrefixState> initial_frontier(const MessageAdversary& adversary,
                                           const AnalysisOptions& options,
@@ -106,89 +127,310 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
   return level;
 }
 
-void compute_components(const AnalysisOptions& options,
-                        DepthAnalysis& analysis) {
-  const int n = analysis.num_processes;
-  const std::vector<PrefixState>& leaves = analysis.levels.back();
-  UnionFind uf(leaves.size());
-  if (options.topology == AdjacencyTopology::kMin) {
-    // Minimum topology: union leaves sharing any process's view id.
-    for (int p = 0; p < n; ++p) {
-      std::unordered_map<ViewId, int> first_leaf;
-      for (std::size_t i = 0; i < leaves.size(); ++i) {
-        const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
-        const auto [it, inserted] =
-            first_leaf.try_emplace(id, static_cast<int>(i));
-        if (!inserted) uf.unite(it->second, static_cast<int>(i));
+namespace {
+
+/// Concurrent union-find over leaf indices that always links the larger
+/// root under the smaller one. Every parent pointer therefore points to a
+/// smaller index and every root is the minimum of its set, so the final
+/// roots -- and the first-leaf numbering derived from them -- depend only
+/// on the partition, never on the order in which concurrent unions land.
+class MinRootForest {
+ public:
+  explicit MinRootForest(std::size_t size) : parent_(size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      parent_[i].store(static_cast<int>(i), std::memory_order_relaxed);
+    }
+  }
+
+  int find(int x) {
+    while (true) {
+      const int p = at(x).load(std::memory_order_acquire);
+      if (p == x) return x;
+      const int gp = at(p).load(std::memory_order_acquire);
+      if (gp == p) return p;
+      // Path halving; losing the race to another writer is harmless
+      // because every writer only moves a pointer closer to the root.
+      int expected = p;
+      at(x).compare_exchange_weak(expected, gp, std::memory_order_acq_rel,
+                                  std::memory_order_relaxed);
+      x = gp;
+    }
+  }
+
+  void unite(int a, int b) {
+    while (true) {
+      a = find(a);
+      b = find(b);
+      if (a == b) return;
+      if (a > b) std::swap(a, b);
+      int expected = b;
+      if (at(b).compare_exchange_strong(expected, a,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        return;
       }
     }
+  }
+
+ private:
+  std::atomic<int>& at(int x) { return parent_[static_cast<std::size_t>(x)]; }
+
+  std::vector<std::atomic<int>> parent_;
+};
+
+/// Leaves per parallel work item of compute_components.
+constexpr std::size_t kLeafBlock = std::size_t{1} << 16;
+
+/// The flat form of a reference level: `states` must be root-contiguous
+/// over the roots of all_input_vectors(n, num_values), as every BFS level
+/// is; the root table covers all of them.
+FlatLevel flatten_level(const std::vector<PrefixState>& states, int n,
+                        int num_values) {
+  const std::vector<InputVector> roots = all_input_vectors(n, num_values);
+  FlatLevel level;
+  level.n = n;
+  level.rows.reserve(states.size() * level.stride());
+  level.multiplicity.reserve(states.size());
+  for (const InputVector& x : roots) {
+    level.root_inputs.insert(level.root_inputs.end(), x.begin(), x.end());
+  }
+  level.root_offsets.assign(roots.size() + 1, 0);
+  [[maybe_unused]] std::size_t last_root = 0;
+  for (const PrefixState& state : states) {
+    level.rows.push_back(static_cast<std::uint32_t>(state.adv_state));
+    level.rows.insert(level.rows.end(), state.views.begin(),
+                      state.views.end());
+    level.rows.insert(level.rows.end(), state.reach.begin(),
+                      state.reach.end());
+    level.multiplicity.push_back(state.multiplicity);
+    const auto root = static_cast<std::size_t>(
+        input_vector_index(state.inputs, num_values));
+    assert(root >= last_root &&
+           "states must be root-contiguous in root order");
+    last_root = root;
+    ++level.root_offsets[root + 1];
+  }
+  for (std::size_t r = 1; r < level.root_offsets.size(); ++r) {
+    level.root_offsets[r] += level.root_offsets[r - 1];
+  }
+  return level;
+}
+
+Value uniform_of(std::span<const Value> inputs) {
+  if (inputs.empty()) return -1;
+  for (const Value x : inputs) {
+    if (x != inputs.front()) return -1;
+  }
+  return inputs.front();
+}
+
+}  // namespace
+
+void compute_components(const AnalysisOptions& options,
+                        DepthAnalysis& analysis,
+                        const ParallelFor& parallel_for) {
+  const int n = analysis.num_processes;
+  const auto un = static_cast<std::size_t>(n);
+  const FlatLevel& leaves = analysis.levels.back();
+  const std::size_t num_leaves = leaves.size();
+  const auto run = [&parallel_for](
+                       std::size_t count,
+                       const std::function<void(std::size_t)>& body) {
+    if (parallel_for) {
+      parallel_for(count, body);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) body(i);
+    }
+  };
+  // body(b, begin, end) for every block b of leaves [begin, end).
+  const std::size_t blocks = (num_leaves + kLeafBlock - 1) / kLeafBlock;
+  const auto for_blocks =
+      [&](const std::function<void(std::size_t, std::size_t, std::size_t)>&
+              body) {
+        run(blocks, [&](std::size_t b) {
+          body(b, b * kLeafBlock, std::min(num_leaves, (b + 1) * kLeafBlock));
+        });
+      };
+
+  MinRootForest forest(num_leaves);
+  if (options.topology == AdjacencyTopology::kMin) {
+    // Minimum topology: leaves sharing any process's view id are
+    // adjacent. Per process, a dense ViewId-indexed array records the
+    // first leaf holding each view (processes fill theirs concurrently);
+    // then every leaf is united with the first holder of each of its
+    // views, concurrently over leaf blocks.
+    std::vector<std::vector<int>> first_leaf(un);
+    const std::size_t known_views =
+        analysis.interner ? analysis.interner->size() : 0;
+    run(un, [&](std::size_t p) {
+      std::vector<int>& first = first_leaf[p];
+      first.assign(known_views, -1);
+      for (std::size_t i = 0; i < num_leaves; ++i) {
+        const auto id = static_cast<std::size_t>(leaves.views(i)[p]);
+        if (id >= first.size()) {
+          first.resize(std::max(id + 1, 2 * first.size()), -1);
+        }
+        if (first[id] < 0) first[id] = static_cast<int>(i);
+      }
+    });
+    for_blocks([&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::span<const ViewId> views = leaves.views(i);
+        for (std::size_t p = 0; p < un; ++p) {
+          const int first =
+              first_leaf[p][static_cast<std::size_t>(views[p])];
+          if (first != static_cast<int>(i)) {
+            forest.unite(first, static_cast<int>(i));
+          }
+        }
+      }
+    });
   } else {
-    // P-view topology: union leaves with equal JOINT P-views (the exact
-    // tuple of member views is the map key).
+    // P-view topology: leaves with equal JOINT P-views (the exact tuple
+    // of member views) are adjacent. The tuple table hands out dense
+    // indices in first-use order, so index k's first leaf is recorded
+    // when k is created.
     assert(options.pview_set != 0);
-    std::map<std::vector<ViewId>, int> first_leaf;
-    std::vector<ViewId> tuple;
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
+    WordSeqIndex tuples;
+    std::vector<int> first_leaf;
+    std::vector<std::uint32_t> tuple;
+    for (std::size_t i = 0; i < num_leaves; ++i) {
       tuple.clear();
       NodeMask rest = options.pview_set & full_mask(n);
       while (rest != 0) {
         const int p = std::countr_zero(rest);
         rest &= rest - 1;
-        tuple.push_back(leaves[i].views[static_cast<std::size_t>(p)]);
+        tuple.push_back(static_cast<std::uint32_t>(
+            leaves.views(i)[static_cast<std::size_t>(p)]));
       }
-      const auto [it, inserted] =
-          first_leaf.try_emplace(tuple, static_cast<int>(i));
-      if (!inserted) uf.unite(it->second, static_cast<int>(i));
+      bool inserted;
+      const int k = tuples.intern(tuple.data(), tuple.size(), &inserted);
+      if (inserted) {
+        first_leaf.push_back(static_cast<int>(i));
+      } else {
+        forest.unite(first_leaf[static_cast<std::size_t>(k)],
+                     static_cast<int>(i));
+      }
     }
   }
-  analysis.leaf_component = uf.component_ids();
-  const int num_components = uf.num_sets();
 
-  // ---- Component summaries.
-  analysis.components.assign(static_cast<std::size_t>(num_components),
-                             ComponentInfo{});
-  // Per component, per process: first seen input value (-1 = none yet) and
-  // whether it stayed uniform.
-  std::vector<std::vector<Value>> first_input(
-      static_cast<std::size_t>(num_components),
-      std::vector<Value>(static_cast<std::size_t>(n), -1));
-  std::vector<NodeMask> nonuniform(static_cast<std::size_t>(num_components),
-                                   0);
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    const PrefixState& leaf = leaves[i];
-    const auto c = static_cast<std::size_t>(analysis.leaf_component[i]);
-    ComponentInfo& info = analysis.components[c];
-    if (info.num_leaves == 0) {
-      info.common_broadcast = full_mask(n);
-      info.common_input_values = ~std::uint32_t{0};
+  // ---- Number components by first leaf: every root is its set's
+  // minimum, so the roots in index order are the components in order of
+  // first occurrence.
+  std::vector<int>& component = analysis.leaf_component;
+  component.assign(num_leaves, -1);
+  std::vector<int> block_roots(blocks, 0);
+  for_blocks([&](std::size_t b, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      component[i] = forest.find(static_cast<int>(i));
+      if (component[i] == static_cast<int>(i)) ++block_roots[b];
     }
-    info.num_leaves += 1;
-    const Value v = uniform_value(leaf.inputs);
-    if (v >= 0) info.valence_mask |= 1u << v;
-    std::uint32_t present = 0;
-    for (const Value x : leaf.inputs) {
-      present |= 1u << x;
-    }
-    info.common_input_values &= present;
-    info.common_broadcast &= broadcast_complete(leaf.reach);
-    for (int p = 0; p < n; ++p) {
-      Value& seen = first_input[c][static_cast<std::size_t>(p)];
-      const Value x = leaf.inputs[static_cast<std::size_t>(p)];
-      if (seen < 0) {
-        seen = x;
-      } else if (seen != x) {
-        nonuniform[c] |= NodeMask{1} << p;
+  });
+  std::vector<int> root_id(num_leaves, -1);
+  std::vector<int> block_first_id(blocks, 0);
+  int num_components = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    block_first_id[b] = num_components;
+    num_components += block_roots[b];
+  }
+  // first_root[c] = root of component c's first leaf.
+  std::vector<std::size_t> first_root(static_cast<std::size_t>(num_components));
+  for_blocks([&](std::size_t b, std::size_t begin, std::size_t end) {
+    int next = block_first_id[b];
+    for (std::size_t i = begin; i < end; ++i) {
+      if (component[i] == static_cast<int>(i)) {
+        first_root[static_cast<std::size_t>(next)] = leaves.root_of(i);
+        root_id[i] = next++;
       }
     }
+  });
+  for_blocks([&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      component[i] = root_id[static_cast<std::size_t>(component[i])];
+    }
+  });
+
+  // ---- Component summaries. Every field is a commutative reduction over
+  // the component's leaves (sum, OR, AND), so leaf blocks fold into
+  // per-component atomics concurrently, flushing once per run of equal
+  // component ids. A process's input is uniform iff it equals the one in
+  // the component's first leaf everywhere. Inputs are constant per root,
+  // so their contributions are derived once per root.
+  std::vector<std::uint32_t> root_valence(leaves.num_roots(), 0);
+  std::vector<std::uint32_t> root_present(leaves.num_roots(), 0);
+  for (std::size_t r = 0; r < leaves.num_roots(); ++r) {
+    const Value v = uniform_of(leaves.root_input(r));
+    if (v >= 0) root_valence[r] = 1u << v;
+    for (const Value x : leaves.root_input(r)) root_present[r] |= 1u << x;
+  }
+  struct Totals {
+    std::atomic<std::int64_t> leaves{0};
+    std::atomic<std::uint32_t> valence{0};
+    std::atomic<std::uint32_t> present{~std::uint32_t{0}};
+    std::atomic<NodeMask> broadcast{~NodeMask{0}};
+    std::atomic<NodeMask> nonuniform{0};
+  };
+  std::vector<Totals> totals(static_cast<std::size_t>(num_components));
+  for_blocks([&](std::size_t, std::size_t begin, std::size_t end) {
+    struct Run {
+      std::int64_t leaves = 0;
+      std::uint32_t valence = 0;
+      std::uint32_t present = ~std::uint32_t{0};
+      NodeMask broadcast = ~NodeMask{0};
+      NodeMask nonuniform = 0;
+    } run_acc;
+    int current = -1;
+    const auto flush = [&] {
+      if (current < 0) return;
+      Totals& t = totals[static_cast<std::size_t>(current)];
+      t.leaves.fetch_add(run_acc.leaves, std::memory_order_relaxed);
+      t.valence.fetch_or(run_acc.valence, std::memory_order_relaxed);
+      t.present.fetch_and(run_acc.present, std::memory_order_relaxed);
+      t.broadcast.fetch_and(run_acc.broadcast, std::memory_order_relaxed);
+      t.nonuniform.fetch_or(run_acc.nonuniform, std::memory_order_relaxed);
+    };
+    std::size_t r = leaves.root_of(begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      while (leaves.root_offsets[r + 1] <= i) ++r;
+      if (component[i] != current) {
+        flush();
+        current = component[i];
+        run_acc = Run{};
+      }
+      ++run_acc.leaves;
+      run_acc.valence |= root_valence[r];
+      run_acc.present &= root_present[r];
+      for (const NodeMask m : leaves.reach(i)) run_acc.broadcast &= m;
+      const std::size_t first = first_root[static_cast<std::size_t>(current)];
+      if (r != first) {
+        const std::span<const Value> mine = leaves.root_input(r);
+        const std::span<const Value> theirs = leaves.root_input(first);
+        for (std::size_t p = 0; p < un; ++p) {
+          if (mine[p] != theirs[p]) run_acc.nonuniform |= NodeMask{1} << p;
+        }
+      }
+    }
+    flush();
+  });
+  analysis.components.assign(static_cast<std::size_t>(num_components),
+                             ComponentInfo{});
+  for (std::size_t c = 0; c < analysis.components.size(); ++c) {
+    ComponentInfo& info = analysis.components[c];
+    const Totals& t = totals[c];
+    info.num_leaves = t.leaves.load(std::memory_order_relaxed);
+    info.valence_mask = t.valence.load(std::memory_order_relaxed);
+    info.common_input_values = t.present.load(std::memory_order_relaxed);
+    info.common_broadcast =
+        t.broadcast.load(std::memory_order_relaxed) & full_mask(n);
+    info.broadcasters =
+        info.common_broadcast & ~t.nonuniform.load(std::memory_order_relaxed);
   }
 
   analysis.valence_separated = true;
   analysis.merged_components = 0;
   analysis.valent_broadcastable = true;
   analysis.strong_assignable = true;
-  for (std::size_t c = 0; c < analysis.components.size(); ++c) {
-    ComponentInfo& info = analysis.components[c];
-    info.broadcasters = info.common_broadcast & ~nonuniform[c];
+  for (ComponentInfo& info : analysis.components) {
     if (info.num_valences() >= 2) {
       analysis.valence_separated = false;
       ++analysis.merged_components;
@@ -261,13 +503,12 @@ DepthAnalysis analyze_depth(const MessageAdversary& adversary,
     }
   }
   analysis.depth = engine.level();
+  // Without keep_levels the engine holds just the current frontier.
   if (options.keep_levels) {
-    analysis.levels = engine.take_levels();
     analysis.first_parent = engine.take_first_parent();
     analysis.children = engine.take_children();
-  } else {
-    analysis.levels.push_back(engine.take_frontier());
   }
+  analysis.levels = engine.take_levels();
 
   compute_components(options, analysis);
   return analysis;
@@ -291,8 +532,11 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
       static_cast<int>(all_input_vectors(n, options.num_values).size());
   std::vector<PrefixState> frontier = initial_frontier(
       adversary, options, *analysis.interner, 0, num_roots);
+  const auto flat = [&](const std::vector<PrefixState>& states) {
+    return flatten_level(states, n, options.num_values);
+  };
   if (options.keep_levels) {
-    analysis.levels.push_back(frontier);
+    analysis.levels.push_back(flat(frontier));
     analysis.first_parent.push_back(
         std::vector<std::pair<int, int>>(frontier.size(), {-1, -1}));
   }
@@ -308,14 +552,19 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
     frontier = std::move(next.states);
     ++level;
     if (options.keep_levels) {
-      analysis.levels.push_back(frontier);
+      analysis.levels.push_back(flat(frontier));
       analysis.first_parent.push_back(std::move(next.first_parent));
-      analysis.children.push_back(std::move(next.children));
+      ChildLinks links;
+      for (const std::vector<int>& kids : next.children) {
+        links.targets.insert(links.targets.end(), kids.begin(), kids.end());
+        links.offsets.push_back(links.targets.size());
+      }
+      analysis.children.push_back(std::move(links));
     }
   }
   analysis.depth = level;
   if (!options.keep_levels) {
-    analysis.levels.push_back(std::move(frontier));
+    analysis.levels.push_back(flat(frontier));
   }
 
   compute_components(options, analysis);
@@ -342,8 +591,9 @@ std::optional<RunPrefix> reconstruct_prefix(const MessageAdversary& adversary,
   }
   std::reverse(letters.begin(), letters.end());
   RunPrefix prefix;
-  prefix.inputs = analysis.levels[last][static_cast<std::size_t>(leaf_index)]
-                      .inputs;
+  const std::span<const Value> inputs =
+      analysis.levels[last].inputs(static_cast<std::size_t>(leaf_index));
+  prefix.inputs.assign(inputs.begin(), inputs.end());
   prefix.graphs.reserve(letters.size());
   for (const int letter : letters) {
     prefix.graphs.push_back(adversary.graph(letter));

@@ -30,8 +30,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,7 +128,10 @@ struct AnalysisOptions {
   SpillOptions spill = {};
 };
 
-/// One deduplicated prefix class at some level of the BFS.
+/// One deduplicated prefix class as plain value vectors. The analysis
+/// itself stores classes as FlatLevel rows; this form is what the
+/// single-scan reference expansion below works on and what
+/// FlatLevel::state() materializes for inspection.
 struct PrefixState {
   InputVector inputs;
   ViewVector views;
@@ -134,6 +139,115 @@ struct PrefixState {
   AdvState adv_state = 0;
   /// Number of (input, letter-sequence) prefixes in this class.
   std::uint64_t multiplicity = 1;
+};
+
+/// Allocator whose argument-less construct() default-initializes, so
+/// resize() on a vector of plain words leaves the new elements
+/// uninitialized instead of zero-filling them. Flat levels are sized once
+/// and then written row by row; zero-filling first would commit every
+/// page of a multi-hundred-MiB level before its writers touch it.
+template <class T>
+struct UninitializedAllocator : std::allocator<T> {
+  using value_type = T;
+  UninitializedAllocator() = default;
+  template <class U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+  template <class U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The storage of flat rows and multiplicities.
+template <class T>
+using FlatVector = std::vector<T, UninitializedAllocator<T>>;
+
+/// One BFS level's deduplicated prefix classes in flat row form: one
+/// contiguous uint32 row array plus a parallel multiplicity array, so a
+/// level of any size costs a handful of allocations instead of several
+/// per class. Row i (stride() = 1 + 2n words) holds
+///
+///   [adv_state, view id of process 0..n-1, reach mask of process 0..n-1].
+///
+/// Inputs are not stored per row: classes of different input vectors
+/// never merge (the dedup key contains every view and every view contains
+/// its own input), so each level is root-contiguous in root order, and
+/// row i takes its inputs from the root whose row range contains it.
+struct FlatLevel {
+  int n = 0;
+  /// size() rows of stride() words, laid out as above.
+  FlatVector<std::uint32_t> rows;
+  /// multiplicity[i] = number of (input, letter-sequence) prefixes in
+  /// class i.
+  FlatVector<std::uint64_t> multiplicity;
+  /// Input vectors of the level's roots in root order, n values each.
+  std::vector<Value> root_inputs;
+  /// Rows [root_offsets[r], root_offsets[r + 1]) descend from root r;
+  /// num_roots() + 1 entries.
+  std::vector<std::size_t> root_offsets;
+
+  static std::size_t stride_for(int processes) {
+    return 1 + 2 * static_cast<std::size_t>(processes);
+  }
+  std::size_t stride() const { return stride_for(n); }
+  std::size_t size() const { return multiplicity.size(); }
+  bool empty() const { return multiplicity.empty(); }
+  std::size_t num_roots() const {
+    return root_offsets.empty() ? 0 : root_offsets.size() - 1;
+  }
+
+  const std::uint32_t* row(std::size_t i) const {
+    return rows.data() + i * stride();
+  }
+  AdvState adv_state(std::size_t i) const {
+    return static_cast<AdvState>(row(i)[0]);
+  }
+  /// ViewId is the signed variant of the row word type, so the view
+  /// words may be read through it directly.
+  std::span<const ViewId> views(std::size_t i) const {
+    return {reinterpret_cast<const ViewId*>(row(i) + 1),
+            static_cast<std::size_t>(n)};
+  }
+  std::span<const NodeMask> reach(std::size_t i) const {
+    return {row(i) + 1 + n, static_cast<std::size_t>(n)};
+  }
+  /// Root (index into this level's root table) of row i.
+  std::size_t root_of(std::size_t i) const;
+  std::span<const Value> root_input(std::size_t root) const {
+    return {root_inputs.data() + root * static_cast<std::size_t>(n),
+            static_cast<std::size_t>(n)};
+  }
+  std::span<const Value> inputs(std::size_t i) const {
+    return root_input(root_of(i));
+  }
+  /// Row i as value vectors.
+  PrefixState state(std::size_t i) const;
+
+  friend bool operator==(const FlatLevel&, const FlatLevel&) = default;
+};
+
+/// Tree links from one level to the next in CSR form: the deduplicated
+/// children of parent i are targets[offsets[i] .. offsets[i + 1]), in
+/// discovery order.
+struct ChildLinks {
+  std::vector<std::size_t> offsets = {0};
+  std::vector<int> targets;
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const int> operator[](std::size_t parent) const {
+    return {targets.data() + offsets[parent],
+            offsets[parent + 1] - offsets[parent]};
+  }
+
+  friend bool operator==(const ChildLinks&, const ChildLinks&) = default;
 };
 
 /// Summary of one connected component of the depth-t universe.
@@ -180,14 +294,17 @@ struct DepthAnalysis {
   /// Shared interner; view ids in `levels` refer to it.
   std::shared_ptr<ViewInterner> interner;
 
-  /// levels[s] = deduplicated prefix classes of length s (s = 0..depth).
-  /// Present only when options.keep_levels (levels.back() -- the leaves --
-  /// is always present).
-  std::vector<std::vector<PrefixState>> levels;
+  /// levels[s] = deduplicated prefix classes of length s (s = 0..depth),
+  /// in the discovery order of a serial scan. Present only when
+  /// options.keep_levels (levels.back() -- the leaves -- is always
+  /// present). At n = 4 a class costs 44 bytes here (9 row words plus
+  /// its multiplicity).
+  std::vector<FlatLevel> levels;
 
   /// children[s][i] = indices into levels[s+1] reached from levels[s][i]
-  /// by one letter (deduplicated). Present only when options.keep_levels.
-  std::vector<std::vector<std::vector<int>>> children;
+  /// by one letter (deduplicated), one CSR per level. Present only when
+  /// options.keep_levels.
+  std::vector<ChildLinks> children;
 
   /// first_parent[s][i] = (index into levels[s-1], letter) of the first
   /// discovered way to reach levels[s][i]; {-1, -1} at level 0. Present
@@ -210,7 +327,7 @@ struct DepthAnalysis {
   /// validity assignment (assigned_value_strong >= 0 everywhere).
   bool strong_assignable = false;
 
-  const std::vector<PrefixState>& leaves() const { return levels.back(); }
+  const FlatLevel& leaves() const { return levels.back(); }
 };
 
 /// Runs the depth-t analysis. If `interner` is null a fresh one is created;
@@ -273,11 +390,20 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
                               const std::vector<PrefixState>& current,
                               std::size_t max_states, bool keep_links);
 
+/// Runs body(0), ..., body(count - 1), possibly concurrently; returns
+/// once all calls finished. Lets core algorithms run on a caller's
+/// thread pool without depending on the runtime layer.
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& body)>;
+
 /// Builds leaf_component, components, and the separation/broadcastability
 /// flags from analysis.levels.back(); requires num_processes, num_values,
-/// and the leaves to be in place.
+/// and the leaves to be in place. Components are numbered by their first
+/// leaf, so every output depends only on the leaf partition -- never on
+/// `parallel_for` (null = serial) or the order unions happen in.
 void compute_components(const AnalysisOptions& options,
-                        DepthAnalysis& analysis);
+                        DepthAnalysis& analysis,
+                        const ParallelFor& parallel_for = {});
 
 /// Reconstructs a concrete run prefix (inputs + graphs) that belongs to the
 /// given leaf class, by walking the BFS tree backwards. Requires

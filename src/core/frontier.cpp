@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "core/spill.hpp"
@@ -98,6 +99,47 @@ std::atomic<int> g_default_frontier_mode{
 
 }  // namespace
 
+/// One arena of chunk-expansion scratch (see ExpandArenas). Every member
+/// is fully re-initialized by the chunk that uses it, so results never
+/// depend on which arena a chunk leased or what it held before.
+struct ExpandScratch {
+  std::vector<std::uint32_t> radix;      // U_p per process
+  std::vector<std::uint64_t> pair_base;  // dense offset per pair
+  std::vector<std::int32_t> dense_view_slot;
+  std::vector<std::int32_t> dense_state_slot;
+  ScratchMap adv_remap;
+  ScratchMap child_remap;
+  ScratchMap view_remap;  // parent view id -> compact per-process digit
+  std::vector<AdvState> advs;
+  std::vector<AdvState> adv_child_value;  // [adv index * alphabet + letter]
+  std::vector<std::int32_t> adv_child_digit;
+  std::vector<std::uint32_t> digits;
+  std::vector<std::int32_t> next_digit;
+  std::vector<std::int32_t> memo_val;
+  std::vector<std::uint32_t> memo_epoch;
+  std::vector<std::uint32_t> view_key;
+  std::vector<std::uint32_t> state_key;
+  std::vector<std::uint32_t> view_idx;
+};
+
+ExpandArenas::ExpandArenas() = default;
+ExpandArenas::~ExpandArenas() = default;
+
+ExpandArenas::Lease::Lease(ExpandArenas& pool) : pool_(pool) {
+  const std::lock_guard<std::mutex> lock(pool_.mutex_);
+  if (pool_.free_.empty()) {
+    scratch_ = std::make_unique<ExpandScratch>();
+  } else {
+    scratch_ = std::move(pool_.free_.back());
+    pool_.free_.pop_back();
+  }
+}
+
+ExpandArenas::Lease::~Lease() {
+  const std::lock_guard<std::mutex> lock(pool_.mutex_);
+  pool_.free_.push_back(std::move(scratch_));
+}
+
 void set_default_frontier_mode(FrontierMode mode) {
   if (mode == FrontierMode::kDefault) mode = FrontierMode::kAuto;
   g_default_frontier_mode.store(static_cast<int>(mode),
@@ -131,18 +173,11 @@ const char* to_string(FrontierMode mode) {
 }
 
 std::uint64_t PendingFrontier::approx_bytes() const {
-  std::uint64_t bytes = states.size() * sizeof(PendingState);
-  if (!states.empty()) {
-    // Per-state heap payload (inputs + reach); uniform across states.
-    bytes += states.size() *
-             (states.front().inputs.size() * sizeof(Value) +
-              states.front().reach.size() * sizeof(NodeMask));
-  }
-  bytes += views.approx_bytes() + state_index.approx_bytes();
-  for (const std::vector<int>& kids : children) {
-    bytes += sizeof(kids) + kids.size() * sizeof(int);
-  }
-  return bytes;
+  return rows.size() * sizeof(std::uint32_t) +
+         multiplicity.size() * sizeof(std::uint64_t) + views.approx_bytes() +
+         state_index.approx_bytes() +
+         children.offsets.size() * sizeof(std::size_t) +
+         children.targets.size() * sizeof(int);
 }
 
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
@@ -163,7 +198,7 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
       Entry entry;
       entry.offset = pool_.size();
       entry.count = static_cast<std::uint32_t>(count);
-      entry.hash = hash;
+      entry.hash = static_cast<std::uint32_t>(hash);
       pool_.insert(pool_.end(), words, words + count);
       entries_.push_back(entry);
       slots_[pos] = id;
@@ -171,7 +206,8 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
       return id;
     }
     const Entry& entry = entries_[static_cast<std::size_t>(e)];
-    if (entry.hash == hash && entry.count == count &&
+    if (entry.hash == static_cast<std::uint32_t>(hash) &&
+        entry.count == count &&
         std::memcmp(pool_.data() + entry.offset, words,
                     count * sizeof(std::uint32_t)) == 0) {
       *inserted = false;
@@ -195,6 +231,22 @@ int WordSeqIndex::append_new(const std::uint32_t* words, std::size_t count) {
   return id;
 }
 
+void WordSeqIndex::reindex() {
+  std::size_t slots = 64;
+  while ((entries_.size() + 1) * 10 > slots * 7) slots <<= 1;
+  slots_.assign(slots, -1);
+  const std::size_t mask = slots - 1;
+  for (std::size_t e = 0; e < entries_.size(); ++e) {
+    Entry& entry = entries_[e];
+    entry.hash = static_cast<std::uint32_t>(
+        hash_words(pool_.data() + entry.offset, entry.count));
+    std::size_t pos = entry.hash & mask;
+    while (slots_[pos] >= 0) pos = (pos + 1) & mask;
+    slots_[pos] = static_cast<int>(e);
+  }
+  appended_ = false;
+}
+
 void WordSeqIndex::grow() {
   ++rehashes_;
   std::vector<int> next(slots_.size() * 2, -1);
@@ -210,8 +262,12 @@ void WordSeqIndex::grow() {
 FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
                                const AnalysisOptions& options,
                                ViewInterner& interner, int first_root,
-                               int last_root)
-    : adversary_(&adversary), options_(options), interner_(&interner) {
+                               int last_root,
+                               std::shared_ptr<ExpandArenas> arenas)
+    : adversary_(&adversary),
+      options_(options),
+      interner_(&interner),
+      arenas_(arenas ? std::move(arenas) : std::make_shared<ExpandArenas>()) {
   const int n = adversary.num_processes();
   // The expansion shape: distinct (receiver, in-mask) pairs across the
   // whole alphabet, plus the (letter, process) -> pair index table.
@@ -238,16 +294,35 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
     }
   }
 
-  frontier_ =
-      initial_frontier(adversary, options, interner, first_root, last_root);
+  // Level 0: one class per input vector of this shard, interned in root
+  // order exactly like initial_frontier() does.
+  const std::vector<InputVector> roots =
+      all_input_vectors(n, options.num_values);
+  assert(0 <= first_root && first_root <= last_root &&
+         static_cast<std::size_t>(last_root) <= roots.size());
+  FlatLevel start;
+  start.n = n;
+  start.root_offsets.push_back(0);
+  for (int r = first_root; r < last_root; ++r) {
+    const InputVector& x = roots[static_cast<std::size_t>(r)];
+    const ViewVector views = interner.initial(x);
+    const ReachVector reach = initial_reach(n);
+    start.root_inputs.insert(start.root_inputs.end(), x.begin(), x.end());
+    start.rows.push_back(
+        static_cast<std::uint32_t>(adversary.initial_state()));
+    start.rows.insert(start.rows.end(), views.begin(), views.end());
+    start.rows.insert(start.rows.end(), reach.begin(), reach.end());
+    start.multiplicity.push_back(1);
+    start.root_offsets.push_back(start.multiplicity.size());
+  }
   // Distinct level-0 views per process (the roots are few: one class per
   // input vector of this shard).
   frontier_distinct_.assign(static_cast<std::size_t>(n), 0);
   std::vector<ViewId> ids;
   for (int p = 0; p < n; ++p) {
     ids.clear();
-    for (const PrefixState& state : frontier_) {
-      ids.push_back(state.views[static_cast<std::size_t>(p)]);
+    for (std::size_t i = 0; i < start.size(); ++i) {
+      ids.push_back(start.views(i)[static_cast<std::size_t>(p)]);
     }
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -255,12 +330,12 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
         static_cast<std::uint32_t>(ids.size());
   }
 
-  level_sizes_.push_back(frontier_.size());
+  level_sizes_.push_back(start.size());
   if (options_.keep_levels) {
-    levels_.push_back(frontier_);
     first_parent_.push_back(
-        std::vector<std::pair<int, int>>(frontier_.size(), {-1, -1}));
+        std::vector<std::pair<int, int>>(start.size(), {-1, -1}));
   }
+  levels_.push_back(std::move(start));
 }
 
 KeyCodec FrontierEngine::level_codec() const {
@@ -289,7 +364,7 @@ KeyCodec FrontierEngine::level_codec() const {
   // so frontier * pairs bounds chunk-local AND merged view-table
   // indices: one width makes chunk and merged state keys interoperable.
   const std::uint64_t index_bound =
-      sat_mul(frontier_.size(), shape_.pairs.size());
+      sat_mul(frontier().size(), shape_.pairs.size());
   c.index_bits =
       index_bound > 1 ? std::min<std::uint32_t>(
                             32, static_cast<std::uint32_t>(
@@ -303,7 +378,7 @@ KeyCodec FrontierEngine::level_codec() const {
 
 std::vector<FrontierChunk> FrontierEngine::partition(
     std::size_t chunk_states) const {
-  const std::size_t size = frontier_.size();
+  const std::size_t size = frontier().size();
   if (chunk_states == 0 || size <= chunk_states) {
     return {FrontierChunk{0, size}};
   }
@@ -318,23 +393,27 @@ std::vector<FrontierChunk> FrontierEngine::partition(
 
 PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                        FrontierBudget* budget) const {
-  assert(chunk.begin <= chunk.end && chunk.end <= frontier_.size());
+  const FlatLevel& frontier = this->frontier();
+  assert(chunk.begin <= chunk.end && chunk.end <= frontier.size());
   const MessageAdversary& adversary = *adversary_;
   const int n = adversary.num_processes();
+  const auto un = static_cast<std::size_t>(n);
   const int alphabet = adversary.alphabet_size();
   PendingFrontier out;
   out.chunk = chunk;
+  out.n = n;
   if (budget != nullptr && budget->exceeded()) {
     // Another chunk already tripped the level budget; this chunk's work
     // would be discarded, so don't do it.
     out.overflow = true;
     return out;
   }
-  if (options_.keep_levels) out.children.resize(chunk.end - chunk.begin);
   telemetry::TraceWriter* trace =
       options_.metrics != nullptr ? options_.metrics->trace() : nullptr;
   const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
   std::uint64_t emissions = 0;
+  const ExpandArenas::Lease lease(*arenas_);
+  ExpandScratch& scratch = *lease;
 
   const std::size_t chunk_size = chunk.end - chunk.begin;
   const std::size_t num_pairs = shape_.pairs.size();
@@ -355,15 +434,14 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   // kAuto) is at most kDenseHeadroom times the expected insertions, the
   // GBBS vertexSubset densification rule transplanted to dedup keys.
   bool dense_views = false;
-  std::vector<std::uint32_t> radix;      // U_p per process
-  std::vector<std::uint64_t> pair_base;  // dense offset per pair
+  std::vector<std::uint32_t>& radix = scratch.radix;
+  std::vector<std::uint64_t>& pair_base = scratch.pair_base;
   std::uint64_t view_space = 0;
   if (mode != FrontierMode::kSparse && chunk_size > 0) {
-    radix.resize(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      radix[static_cast<std::size_t>(p)] =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(
-              chunk_size, frontier_distinct_[static_cast<std::size_t>(p)]));
+    radix.resize(un);
+    for (std::size_t p = 0; p < un; ++p) {
+      radix[p] = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(chunk_size, frontier_distinct_[p]));
     }
     pair_base.resize(num_pairs);
     for (std::size_t pr = 0; pr < num_pairs; ++pr) {
@@ -396,22 +474,22 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   bool dense_states = false;
   bool adv_cached = false;
   std::uint64_t w_cap = 0;
-  std::vector<std::int32_t> dense_state_slot;
-  ScratchMap adv_remap;
-  std::vector<AdvState> adv_child_value;   // [adv index * alphabet + letter]
-  std::vector<std::int32_t> adv_child_digit;
+  ScratchMap& adv_remap = scratch.adv_remap;
+  std::vector<AdvState>& adv_child_value = scratch.adv_child_value;
+  std::vector<std::int32_t>& adv_child_digit = scratch.adv_child_digit;
   if (dense_views) {
     w_cap = std::min<std::uint64_t>(view_space,
                                     sat_mul(chunk_size, num_pairs));
     adv_remap.init(std::min(chunk_size, kDenseAdvCap + 1));
-    std::vector<AdvState> advs;
+    std::vector<AdvState>& advs = scratch.advs;
+    advs.clear();
     std::int32_t adv_count = 0;
     bool bounded = true;
     for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
       bool fresh;
-      adv_remap.find_or_insert(frontier_[i].adv_state, adv_count, &fresh);
+      adv_remap.find_or_insert(frontier.adv_state(i), adv_count, &fresh);
       if (fresh) {
-        advs.push_back(frontier_[i].adv_state);
+        advs.push_back(frontier.adv_state(i));
         if (static_cast<std::size_t>(++adv_count) > kDenseAdvCap) {
           bounded = false;
           break;
@@ -426,7 +504,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
           static_cast<std::size_t>(alphabet);
       adv_child_value.resize(table);
       adv_child_digit.assign(table, -1);
-      ScratchMap child_remap;
+      ScratchMap& child_remap = scratch.child_remap;
       child_remap.init(table);
       std::int32_t child_count = 0;
       for (std::int32_t ai = 0; ai < adv_count; ++ai) {
@@ -456,24 +534,26 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                      (mode == FrontierMode::kDense ||
                       state_space <= sat_mul(kDenseHeadroom, expected_states));
       if (dense_states) {
-        dense_state_slot.assign(static_cast<std::size_t>(state_space), -1);
+        scratch.dense_state_slot.assign(static_cast<std::size_t>(state_space),
+                                        -1);
       }
     }
   }
 
-  // ---- Per-chunk scratch.
-  std::vector<std::int32_t> dense_view_slot;
+  // ---- Per-chunk scratch (all from the leased arena).
+  std::vector<std::int32_t>& dense_view_slot = scratch.dense_view_slot;
+  std::vector<std::int32_t>& dense_state_slot = scratch.dense_state_slot;
   if (dense_views) {
     dense_view_slot.assign(static_cast<std::size_t>(view_space), -1);
   }
-  ScratchMap view_remap;  // parent view id -> compact per-process digit
-  std::vector<std::uint32_t> digits(static_cast<std::size_t>(n), 0);
-  std::vector<std::int32_t> next_digit(static_cast<std::size_t>(n), 0);
+  ScratchMap& view_remap = scratch.view_remap;
+  std::vector<std::uint32_t>& digits = scratch.digits;
+  std::vector<std::int32_t>& next_digit = scratch.next_digit;
+  digits.assign(un, 0);
+  next_digit.assign(un, 0);
   if (dense_views) {
     std::size_t digit_cap = 0;
-    for (int p = 0; p < n; ++p) {
-      digit_cap += radix[static_cast<std::size_t>(p)];
-    }
+    for (std::size_t p = 0; p < un; ++p) digit_cap += radix[p];
     view_remap.init(digit_cap);
   }
   // The per-parent (q, mask) memo: for a fixed parent, the child view of
@@ -482,20 +562,23 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   // it (e.g. omission's alphabet collapses from |letters| * n view
   // interns per parent to the distinct-pair count). Epoch-stamped, so
   // there is nothing to clear between parents.
-  std::vector<std::int32_t> memo_val(num_pairs, -1);
-  std::vector<std::uint32_t> memo_epoch(num_pairs, 0);
+  std::vector<std::int32_t>& memo_val = scratch.memo_val;
+  std::vector<std::uint32_t>& memo_epoch = scratch.memo_epoch;
+  memo_val.assign(num_pairs, -1);
+  memo_epoch.assign(num_pairs, 0);
 
   // Scratch keys, reused across emissions: no per-emission allocation.
   // Keys are KeyCodec-packed (see frontier.hpp); the per-process view
   // indices additionally stay unpacked in view_idx for the dense-state
   // address computation.
   const KeyCodec codec = level_codec();
-  std::vector<std::uint32_t> view_key;
-  view_key.reserve(static_cast<std::size_t>(n) + 2);
-  std::vector<std::uint32_t> state_key(codec.state_words);
-  std::vector<std::uint32_t> view_idx(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t>& view_key = scratch.view_key;
+  std::vector<std::uint32_t>& state_key = scratch.state_key;
+  std::vector<std::uint32_t>& view_idx = scratch.view_idx;
+  state_key.assign(codec.state_words, 0);
+  view_idx.assign(un, 0);
   const auto pack_view_key = [&](std::uint32_t recv, NodeMask in_mask,
-                                 const PrefixState& par) {
+                                 std::span<const ViewId> parent_views) {
     const auto senders =
         static_cast<std::uint32_t>(std::popcount(in_mask));
     const std::size_t bits =
@@ -513,7 +596,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       rest &= rest - 1;
       put_bits(view_key.data(), pos,
                static_cast<std::uint32_t>(
-                   par.views[static_cast<std::size_t>(p)]),
+                   parent_views[static_cast<std::size_t>(p)]),
                codec.sender_bits);
       pos += codec.sender_bits;
     }
@@ -522,40 +605,42 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     std::fill(state_key.begin(), state_key.end(), 0u);
     put_bits(state_key.data(), 0, static_cast<std::uint32_t>(adv),
              codec.adv_bits);
-    for (int q = 0; q < n; ++q) {
-      put_bits(state_key.data(),
-               codec.adv_bits +
-                   static_cast<std::size_t>(q) * codec.index_bits,
-               view_idx[static_cast<std::size_t>(q)], codec.index_bits);
+    for (std::size_t q = 0; q < un; ++q) {
+      put_bits(state_key.data(), codec.adv_bits + q * codec.index_bits,
+               view_idx[q], codec.index_bits);
     }
   };
 
+  const std::size_t stride = out.stride();
+  if (options_.keep_levels) out.children.offsets.reserve(chunk_size + 1);
   std::size_t reported = 0;
   for (std::size_t i = chunk.begin; i < chunk.end && !out.overflow; ++i) {
     if (budget != nullptr && i > chunk.begin) {
-      if (!budget->add(out.states.size() - reported)) {
+      if (!budget->add(out.size() - reported)) {
         out.overflow = true;
         break;
       }
-      reported = out.states.size();
+      reported = out.size();
     }
-    const PrefixState& parent = frontier_[i];
+    const std::span<const ViewId> parent_views = frontier.views(i);
+    const std::span<const NodeMask> parent_reach = frontier.reach(i);
+    const AdvState parent_state = frontier.adv_state(i);
+    const std::uint64_t parent_mult = frontier.multiplicity[i];
     const auto epoch = static_cast<std::uint32_t>(i - chunk.begin) + 1;
+    const std::size_t kids_begin = out.children.targets.size();
     std::int32_t parent_adv = -1;
     if (adv_cached) {
       bool fresh;
-      parent_adv = adv_remap.find_or_insert(parent.adv_state, -1, &fresh);
+      parent_adv = adv_remap.find_or_insert(parent_state, -1, &fresh);
       assert(!fresh && "the prescan saw every parent state");
     }
     if (dense_views) {
-      for (int p = 0; p < n; ++p) {
+      for (std::size_t p = 0; p < un; ++p) {
         bool fresh;
         const std::int32_t d = view_remap.find_or_insert(
-            parent.views[static_cast<std::size_t>(p)],
-            next_digit[static_cast<std::size_t>(p)], &fresh);
-        if (fresh) ++next_digit[static_cast<std::size_t>(p)];
-        digits[static_cast<std::size_t>(p)] =
-            static_cast<std::uint32_t>(d);
+            parent_views[p], next_digit[p], &fresh);
+        if (fresh) ++next_digit[p];
+        digits[p] = static_cast<std::uint32_t>(d);
       }
     }
     for (int letter = 0; letter < alphabet; ++letter) {
@@ -564,13 +649,12 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
               ? adv_child_value[static_cast<std::size_t>(parent_adv) *
                                     static_cast<std::size_t>(alphabet) +
                                 static_cast<std::size_t>(letter)]
-              : adversary.transition(parent.adv_state, letter);
+              : adversary.transition(parent_state, letter);
       if (adv_next == kRejectState) continue;
       const Digraph& g = adversary.graph(letter);
       for (int q = 0; q < n; ++q) {
         const auto pair = static_cast<std::size_t>(
-            shape_.pair_of[static_cast<std::size_t>(letter) *
-                               static_cast<std::size_t>(n) +
+            shape_.pair_of[static_cast<std::size_t>(letter) * un +
                            static_cast<std::size_t>(q)]);
         std::int32_t view_index;
         if (memo_epoch[pair] == epoch) {
@@ -590,13 +674,14 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                 static_cast<std::size_t>(pair_base[pair] + local);
             view_index = dense_view_slot[addr];
             if (view_index < 0) {
-              pack_view_key(static_cast<std::uint32_t>(q), mask, parent);
+              pack_view_key(static_cast<std::uint32_t>(q), mask,
+                            parent_views);
               view_index =
                   out.views.append_new(view_key.data(), view_key.size());
               dense_view_slot[addr] = view_index;
             }
           } else {
-            pack_view_key(static_cast<std::uint32_t>(q), mask, parent);
+            pack_view_key(static_cast<std::uint32_t>(q), mask, parent_views);
             bool view_inserted;
             view_index = out.views.intern(view_key.data(), view_key.size(),
                                           &view_inserted);
@@ -617,8 +702,8 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
             adv_child_digit[static_cast<std::size_t>(parent_adv) *
                                 static_cast<std::size_t>(alphabet) +
                             static_cast<std::size_t>(letter)]);
-        for (int q = 0; q < n; ++q) {
-          addr = addr * w_cap + view_idx[static_cast<std::size_t>(q)];
+        for (std::size_t q = 0; q < un; ++q) {
+          addr = addr * w_cap + view_idx[q];
         }
         std::int32_t slot = dense_state_slot[static_cast<std::size_t>(addr)];
         inserted = slot < 0;
@@ -635,42 +720,57 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                        &inserted);
       }
       if (inserted) {
-        PendingState state;
-        state.inputs = parent.inputs;
-        state.reach = advance_reach(parent.reach, g);
-        state.adv_state = adv_next;
-        state.multiplicity = parent.multiplicity;
-        state.parent = static_cast<int>(i);
-        state.letter = letter;
-        out.states.push_back(std::move(state));
-        if (out.states.size() > options_.max_states) {
+        // New pending row [reach..., adv_state, parent, letter]; the
+        // child's reach is the parent's propagated along g.
+        const std::size_t base = out.rows.size();
+        out.rows.resize(base + stride);
+        std::uint32_t* row = out.rows.data() + base;
+        for (int q = 0; q < n; ++q) {
+          NodeMask acc = 0;
+          NodeMask senders = g.in_mask(static_cast<ProcessId>(q));
+          while (senders != 0) {
+            const int p = std::countr_zero(senders);
+            senders &= senders - 1;
+            acc |= parent_reach[static_cast<std::size_t>(p)];
+          }
+          row[q] = acc;
+        }
+        row[un] = static_cast<std::uint32_t>(adv_next);
+        row[un + 1] = static_cast<std::uint32_t>(i);
+        row[un + 2] = static_cast<std::uint32_t>(letter);
+        out.multiplicity.push_back(parent_mult);
+        if (out.size() > options_.max_states) {
           out.overflow = true;
           break;
         }
       } else {
-        out.states[static_cast<std::size_t>(index)].multiplicity +=
-            parent.multiplicity;
+        out.multiplicity[static_cast<std::size_t>(index)] += parent_mult;
       }
       if (options_.keep_levels) {
         // A parent can reach one class via several letters; filter the
         // repeats like the serial scan does.
-        std::vector<int>& kids = out.children[i - chunk.begin];
-        if (std::find(kids.begin(), kids.end(), index) == kids.end()) {
-          kids.push_back(index);
+        std::vector<int>& targets = out.children.targets;
+        if (std::find(targets.begin() +
+                          static_cast<std::ptrdiff_t>(kids_begin),
+                      targets.end(), index) == targets.end()) {
+          targets.push_back(index);
         }
       }
     }
+    if (options_.keep_levels) {
+      out.children.offsets.push_back(out.children.targets.size());
+    }
   }
   if (budget != nullptr && !out.overflow &&
-      !budget->add(out.states.size() - reported)) {
+      !budget->add(out.size() - reported)) {
     out.overflow = true;
   }
   out.stats.chunks = 1;
   out.stats.dense_view_chunks = dense_views ? 1 : 0;
   out.stats.dense_state_chunks = dense_states ? 1 : 0;
   out.stats.emissions = emissions;
-  out.stats.pending_states = out.states.size();
-  out.stats.dedup_hits = emissions - out.states.size();
+  out.stats.pending_states = out.size();
+  out.stats.dedup_hits = emissions - out.size();
   out.stats.pending_views = out.views.size();
   out.stats.rehashes = out.views.rehashes() + out.state_index.rehashes();
   if (trace != nullptr) {
@@ -682,7 +782,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                   static_cast<std::uint64_t>(level_) + 1),
          telemetry::TraceArg::num("begin", chunk.begin),
          telemetry::TraceArg::num("end", chunk.end),
-         telemetry::TraceArg::num("states", out.states.size()),
+         telemetry::TraceArg::num("states", out.size()),
          telemetry::TraceArg::num("dense", dense_views ? 1 : 0)});
   }
   return out;
@@ -697,23 +797,24 @@ PendingFrontier FrontierEngine::merge(
       return level;
     }
   }
-  if (chunks.size() == 1) {
-    // The single chunk covered the whole frontier: its dedup is already
-    // global and its parent indexing is the frontier's.
-    if (chunks.front().spilled != nullptr) {
-      restore_spilled(chunks.front());
-    }
-    return std::move(chunks.front());
-  }
+  // The first chunk's classes and views are distinct and come first in
+  // merged order, so it IS the start of the merged level: adopt it (its
+  // parent indexing is already the frontier's) and fold the rest in.
+  if (chunks.front().spilled != nullptr) restore_spilled(chunks.front());
+  PendingFrontier level = std::move(chunks.front());
+  level.chunk = FrontierChunk{0, frontier().size()};
+  if (chunks.size() == 1) return level;
 
   const KeyCodec codec = level_codec();
-  PendingFrontier level;
-  level.chunk = FrontierChunk{0, frontier_.size()};
-  if (options_.keep_levels) level.children.resize(frontier_.size());
+  const std::size_t stride = level.stride();
+  const std::uint64_t adopted_rehashes =
+      level.views.rehashes() + level.state_index.rehashes();
+  level.views.reindex();
+  level.state_index.reindex();
   std::vector<int> view_remap;
   std::vector<int> state_remap;
   std::vector<std::uint32_t> state_key;
-  for (PendingFrontier& chunk : chunks) {
+  for (PendingFrontier& chunk : std::span(chunks).subspan(1)) {
     // Spilled chunks come back one at a time, right before they fold
     // in, so at most one restored chunk is resident besides the merged
     // level -- that bound is the spill tier's whole point.
@@ -730,8 +831,8 @@ PendingFrontier FrontierEngine::merge(
           chunk.views.words_of(static_cast<int>(v)),
           chunk.views.count_of(static_cast<int>(v)), &inserted);
     }
-    state_remap.assign(chunk.states.size(), -1);
-    for (std::size_t s = 0; s < chunk.states.size(); ++s) {
+    state_remap.assign(chunk.size(), -1);
+    for (std::size_t s = 0; s < chunk.size(); ++s) {
       const std::uint32_t* words =
           chunk.state_index.words_of(static_cast<int>(s));
       assert(chunk.state_index.count_of(static_cast<int>(s)) ==
@@ -754,25 +855,29 @@ PendingFrontier FrontierEngine::merge(
                                                  state_key.size(), &inserted);
       state_remap[s] = index;
       if (inserted) {
-        level.states.push_back(std::move(chunk.states[s]));
-        if (level.states.size() > options_.max_states) {
+        level.rows.insert(level.rows.end(), chunk.row(s),
+                          chunk.row(s) + stride);
+        level.multiplicity.push_back(chunk.multiplicity[s]);
+        if (level.size() > options_.max_states) {
           level.overflow = true;
           return level;
         }
       } else {
-        level.states[static_cast<std::size_t>(index)].multiplicity +=
-            chunk.states[s].multiplicity;
+        level.multiplicity[static_cast<std::size_t>(index)] +=
+            chunk.multiplicity[s];
       }
     }
     if (options_.keep_levels) {
+      // Chunks arrive in frontier order and cover it contiguously, so the
+      // merged CSR is the concatenation. Distinct chunk-local classes stay
+      // distinct after the merge, so the per-parent lists need only
+      // remapping, not re-dedup.
       for (std::size_t p = 0; p < chunk.children.size(); ++p) {
-        // Distinct chunk-local classes stay distinct after the merge, so
-        // the per-parent lists need only remapping, not re-dedup.
-        std::vector<int>& kids = level.children[chunk.chunk.begin + p];
-        kids.reserve(chunk.children[p].size());
         for (const int child : chunk.children[p]) {
-          kids.push_back(state_remap[static_cast<std::size_t>(child)]);
+          level.children.targets.push_back(
+              state_remap[static_cast<std::size_t>(child)]);
         }
+        level.children.offsets.push_back(level.children.targets.size());
       }
     }
     // Fully folded in: release the chunk (and, for restored chunks, keep
@@ -783,11 +888,11 @@ PendingFrontier FrontierEngine::merge(
   // performed: duplicates across chunks count as dedup hits, and the
   // distinct view/state tallies become the merged tables' sizes.
   const std::uint64_t chunk_states_total = level.stats.pending_states;
-  level.stats.pending_states = level.states.size();
-  level.stats.dedup_hits += chunk_states_total - level.states.size();
+  level.stats.pending_states = level.size();
+  level.stats.dedup_hits += chunk_states_total - level.size();
   level.stats.pending_views = level.views.size();
-  level.stats.rehashes +=
-      level.views.rehashes() + level.state_index.rehashes();
+  level.stats.rehashes += level.views.rehashes() +
+                          level.state_index.rehashes() - adopted_rehashes;
   return level;
 }
 
@@ -802,28 +907,34 @@ void FrontierEngine::commit(PendingFrontier level) {
   interner_->attach_to_current_thread();
   const std::size_t views_before = interner_->size();
   const int n = adversary_->num_processes();
-  std::vector<PrefixState> next;
-  next.reserve(level.states.size());
+  const auto un = static_cast<std::size_t>(n);
+  const FlatLevel& parent_level = frontier();
+  const std::size_t count = level.size();
+  FlatLevel next;
+  next.n = n;
+  next.rows.resize(count * next.stride());
+  next.multiplicity = std::move(level.multiplicity);
+  next.root_inputs = parent_level.root_inputs;
+  next.root_offsets.assign(parent_level.root_offsets.size(), 0);
   std::vector<std::pair<int, int>> parents;
-  parents.reserve(level.states.size());
+  if (options_.keep_levels) parents.reserve(count);
   // Each distinct pending view is interned exactly once, on first use;
   // states are walked in merged (= serial discovery) order and views in
   // process order, so ids are assigned in the serial scan's order.
   std::vector<ViewId> resolved(level.views.size(), -1);
   std::vector<ViewId> senders;
-  for (std::size_t s = 0; s < level.states.size(); ++s) {
-    PendingState& state = level.states[s];
+  // First parents are non-decreasing in discovery order, and so are
+  // their roots: one forward walk over the parent level's root offsets
+  // yields the new level's.
+  std::size_t root = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    const std::uint32_t* pending = level.row(s);
     const std::uint32_t* key = level.state_index.words_of(static_cast<int>(s));
-    PrefixState out;
-    out.inputs = std::move(state.inputs);
-    out.reach = std::move(state.reach);
-    out.adv_state = state.adv_state;
-    out.multiplicity = state.multiplicity;
-    out.views.resize(static_cast<std::size_t>(n));
-    for (int q = 0; q < n; ++q) {
+    std::uint32_t* row = next.rows.data() + s * next.stride();
+    row[0] = pending[un];
+    for (std::size_t q = 0; q < un; ++q) {
       const auto v = static_cast<std::size_t>(get_bits(
-          key, codec.adv_bits + static_cast<std::size_t>(q) * codec.index_bits,
-          codec.index_bits));
+          key, codec.adv_bits + q * codec.index_bits, codec.index_bits));
       ViewId& id = resolved[v];
       if (id < 0) {
         const std::uint32_t* words = level.views.words_of(static_cast<int>(v));
@@ -843,33 +954,42 @@ void FrontierEngine::commit(PendingFrontier level) {
         }
         id = interner_->step(static_cast<ProcessId>(recv), in_mask, senders);
       }
-      out.views[static_cast<std::size_t>(q)] = id;
+      row[1 + q] = static_cast<std::uint32_t>(id);
     }
-    next.push_back(std::move(out));
-    parents.emplace_back(state.parent, state.letter);
+    std::copy(pending, pending + un, row + 1 + un);
+    const std::size_t parent = pending[un + 1];
+    while (parent_level.root_offsets[root + 1] <= parent) ++root;
+    ++next.root_offsets[root + 1];
+    if (options_.keep_levels) {
+      parents.emplace_back(static_cast<int>(parent),
+                           static_cast<int>(pending[un + 2]));
+    }
   }
-  frontier_ = std::move(next);
+  for (std::size_t r = 1; r < next.root_offsets.size(); ++r) {
+    next.root_offsets[r] += next.root_offsets[r - 1];
+  }
   // level.views holds exactly the distinct views of the new frontier
   // (every entry was part of some committed state's key), so the
   // per-process tally feeding the dense heuristic is one scan of it.
-  frontier_distinct_.assign(static_cast<std::size_t>(n), 0);
+  frontier_distinct_.assign(un, 0);
   for (std::size_t v = 0; v < level.views.size(); ++v) {
     ++frontier_distinct_[get_bits(level.views.words_of(static_cast<int>(v)),
                                   0, codec.q_bits)];
   }
   ++level_;
-  level_sizes_.push_back(frontier_.size());
+  level_sizes_.push_back(count);
   if (options_.keep_levels) {
     children_.push_back(std::move(level.children));
-    levels_.push_back(frontier_);
     first_parent_.push_back(std::move(parents));
+    levels_.push_back(std::move(next));
+  } else {
+    levels_.back() = std::move(next);
   }
   // The single counter-flush point: only committed levels reach it, so
   // every count is identical at any thread count (see telemetry/metrics).
   if (options_.metrics != nullptr) {
     options_.metrics->add_pending(level.stats);
-    options_.metrics->add_commit(frontier_.size(), interner_->size() -
-                                                       views_before);
+    options_.metrics->add_commit(count, interner_->size() - views_before);
   }
 }
 

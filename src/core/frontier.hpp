@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -143,6 +144,11 @@ class WordSeqIndex {
   /// which is all the engine ever does with an expanded chunk).
   int append_new(const std::uint32_t* words, std::size_t count);
 
+  /// Rebuilds the probe table from the entries, so a table frozen by
+  /// append_new() (or restored from a spill file) accepts intern() again.
+  /// Ids are unchanged.
+  void reindex();
+
   std::size_t size() const { return entries_.size(); }
   /// Probe-table growth rehashes performed so far (telemetry).
   std::uint64_t rehashes() const { return rehashes_; }
@@ -164,10 +170,13 @@ class WordSeqIndex {
   /// tables without the probe table (read-only, like after append_new).
   friend class FrontierSpill;
 
+  /// 16 bytes: the low 32 hash bits suffice to place an entry in any
+  /// probe table this process can allocate and to reject most unequal
+  /// keys before the word comparison.
   struct Entry {
     std::size_t offset = 0;
     std::uint32_t count = 0;
-    std::size_t hash = 0;
+    std::uint32_t hash = 0;
   };
   void grow();
 
@@ -180,49 +189,55 @@ class WordSeqIndex {
   std::uint64_t rehashes_ = 0;
 };
 
-/// Per-state metadata of a pending (not yet interned) level; the view
-/// data lives in the PendingFrontier tables.
-struct PendingState {
-  InputVector inputs;
-  ReachVector reach;
-  AdvState adv_state = 0;
-  std::uint64_t multiplicity = 1;
-  /// Frontier index and letter of the first discovery.
-  int parent = -1;
-  int letter = -1;
-};
-
 /// One expanded-but-not-yet-interned level slice: the output of
 /// expand() (covering one chunk) and of merge() (covering the whole
-/// frontier). Views are stored as chunk-local dedup indices into
-/// `views`, whose key words are [process, mask, senders...] with sender
-/// ids referring to the PARENT level's interned views.
+/// frontier). States are flat rows like FlatLevel's, of stride
+/// stride_for(n) = n + 3 words:
+///
+///   [reach mask of process 0..n-1, adv_state, parent, letter]
+///
+/// where (parent, letter) is the frontier index and letter of the first
+/// discovery. Views are stored as chunk-local dedup indices into
+/// `views` (via the state keys), whose key words are [process, mask,
+/// senders...] with sender ids referring to the PARENT level's interned
+/// views.
 class SpillTicket;
 
 struct PendingFrontier {
   FrontierChunk chunk;
-  std::vector<PendingState> states;
+  int n = 0;
+  FlatVector<std::uint32_t> rows;
+  FlatVector<std::uint64_t> multiplicity;
   /// Distinct pending views of this slice; key words of view v are
   /// the KeyCodec packing of [process, mask, senders...].
   WordSeqIndex views;
-  /// State dedup table, parallel to `states`: key words of state s are
+  /// State dedup table, parallel to the rows: key words of state s are
   /// the KeyCodec packing of [adv_state, view index of process 0, ...,
   /// view index of n-1].
   WordSeqIndex state_index;
   /// children[i - chunk.begin] = local child indices of frontier parent
   /// i, in discovery order; filled only under keep_levels.
-  std::vector<std::vector<int>> children;
-  /// True iff the slice exceeded max_states (states incomplete).
+  ChildLinks children;
+  /// True iff the slice exceeded max_states (rows incomplete).
   bool overflow = false;
   /// Expansion statistics of this slice, flushed into
   /// AnalysisOptions::metrics only at commit() so truncated levels never
   /// contribute (the determinism contract in telemetry/metrics.hpp).
   telemetry::PendingStats stats;
-  /// Non-null iff states/views/state_index/children currently live in a
+  /// Non-null iff rows/views/state_index/children currently live in a
   /// spill file instead of memory (core/spill.*); chunk, overflow, and
   /// stats stay resident so budget scans and stat sums never touch disk.
   /// merge() restores spilled slices one at a time, in chunk order.
   std::shared_ptr<SpillTicket> spilled;
+
+  static std::size_t stride_for(int processes) {
+    return static_cast<std::size_t>(processes) + 3;
+  }
+  std::size_t stride() const { return stride_for(n); }
+  std::size_t size() const { return multiplicity.size(); }
+  const std::uint32_t* row(std::size_t i) const {
+    return rows.data() + i * stride();
+  }
 
   /// Rough resident footprint in bytes of the spillable payload, the
   /// quantity the spill policy compares against its budget.
@@ -275,22 +290,59 @@ struct ChunkProgress {
 };
 using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
 
+struct ExpandScratch;
+
+/// Reusable chunk-expansion scratch (dense slot tables, digit maps, key
+/// buffers) for the engines of one analysis, in the style of per-core
+/// preallocated pools: every running expand() leases one arena and
+/// returns it when done, so at most one arena exists per concurrently
+/// expanding thread and each is reused across chunks and levels. All of
+/// it is released with the last engine that shares the pool, so nothing
+/// outlives the analysis. Thread-safe.
+class ExpandArenas {
+ public:
+  ExpandArenas();
+  ~ExpandArenas();
+  ExpandArenas(const ExpandArenas&) = delete;
+  ExpandArenas& operator=(const ExpandArenas&) = delete;
+
+  /// RAII lease of one arena.
+  class Lease {
+   public:
+    explicit Lease(ExpandArenas& pool);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ExpandScratch& operator*() const { return *scratch_; }
+
+   private:
+    ExpandArenas& pool_;
+    std::unique_ptr<ExpandScratch> scratch_;
+  };
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<ExpandScratch>> free_;
+};
+
 /// One shard of the chunked BFS (see the header comment).
 class FrontierEngine {
  public:
   /// Initializes the level-0 frontier: one class per input vector with
   /// dense index in [first_root, last_root). Mutates `interner` (which
-  /// must outlive the engine), like every commit() does.
+  /// must outlive the engine), like every commit() does. Engines of one
+  /// analysis may share `arenas`; null gives the engine its own.
   FrontierEngine(const MessageAdversary& adversary,
                  const AnalysisOptions& options, ViewInterner& interner,
-                 int first_root, int last_root);
+                 int first_root, int last_root,
+                 std::shared_ptr<ExpandArenas> arenas = nullptr);
 
   /// Depth expanded so far (0 right after construction).
   int level() const { return level_; }
   /// True once a level overflowed max_states; the frontier then still
   /// holds the last complete level.
   bool truncated() const { return truncated_; }
-  const std::vector<PrefixState>& frontier() const { return frontier_; }
+  const FlatLevel& frontier() const { return levels_.back(); }
 
   /// Deterministic partition of the current frontier into chunks of at
   /// most `chunk_states` parents (0 = one chunk). Never empty: an empty
@@ -309,13 +361,17 @@ class FrontierEngine {
   /// of the product of the per-process sender-id bounds -- is small, the
   /// chunk dedups through direct-indexed tables instead of hashing.
   /// Keys, indices, and entry order are identical either way, so the
-  /// choice (like the chunk size) can never change a result byte.
+  /// choice (like the chunk size) can never change a result byte. All
+  /// per-chunk scratch comes from an arena leased from the engine's
+  /// ExpandArenas.
   PendingFrontier expand(const FrontierChunk& chunk,
                          FrontierBudget* budget = nullptr) const;
 
   /// Deduplicates the chunk expansions -- which must be all chunks of
   /// the current frontier, in partition order -- across chunks. Does not
-  /// touch the interner or the engine. A single chunk passes through.
+  /// touch the interner or the engine. The first chunk is adopted as the
+  /// start of the merged level (its classes and views are distinct and
+  /// come first), so a single chunk passes through.
   PendingFrontier merge(std::vector<PendingFrontier> chunks) const;
 
   /// Interns the pending views (each distinct view once, in first-use
@@ -337,30 +393,22 @@ class FrontierEngine {
   const std::vector<std::size_t>& level_sizes() const { return level_sizes_; }
 
   // History, recorded only under options.keep_levels; indexed like the
-  // corresponding DepthAnalysis members restricted to this shard.
-  const std::vector<std::vector<PrefixState>>& levels() const {
-    return levels_;
-  }
+  // corresponding DepthAnalysis members restricted to this shard. Without
+  // keep_levels, levels() holds just the current frontier.
+  const std::vector<FlatLevel>& levels() const { return levels_; }
   const std::vector<std::vector<std::pair<int, int>>>& first_parent() const {
     return first_parent_;
   }
-  const std::vector<std::vector<std::vector<int>>>& children() const {
-    return children_;
-  }
+  const std::vector<ChildLinks>& children() const { return children_; }
 
   // Move-out variants for building a DepthAnalysis from a finished
   // engine without copying multi-million-state histories; the engine is
-  // done afterwards (history empty, frontier moved from).
-  std::vector<std::vector<PrefixState>> take_levels() {
-    return std::move(levels_);
-  }
+  // done afterwards (history empty).
+  std::vector<FlatLevel> take_levels() { return std::move(levels_); }
   std::vector<std::vector<std::pair<int, int>>> take_first_parent() {
     return std::move(first_parent_);
   }
-  std::vector<std::vector<std::vector<int>>> take_children() {
-    return std::move(children_);
-  }
-  std::vector<PrefixState> take_frontier() { return std::move(frontier_); }
+  std::vector<ChildLinks> take_children() { return std::move(children_); }
 
  private:
   /// The adversary's per-round expansion shape, fixed at construction:
@@ -386,18 +434,19 @@ class FrontierEngine {
   const MessageAdversary* adversary_;
   AnalysisOptions options_;
   ViewInterner* interner_;
+  std::shared_ptr<ExpandArenas> arenas_;
   ExpansionShape shape_;
   /// Distinct interned views per process in the current frontier,
   /// maintained by the constructor and commit(); the per-chunk dense
   /// heuristic bounds sender-id digits with min(chunk size, this).
   std::vector<std::uint32_t> frontier_distinct_;
-  std::vector<PrefixState> frontier_;
   int level_ = 0;
   bool truncated_ = false;
   std::vector<std::size_t> level_sizes_;
-  std::vector<std::vector<PrefixState>> levels_;
+  /// Never empty: back() is the current frontier.
+  std::vector<FlatLevel> levels_;
   std::vector<std::vector<std::pair<int, int>>> first_parent_;
-  std::vector<std::vector<std::vector<int>>> children_;
+  std::vector<ChildLinks> children_;
 };
 
 }  // namespace topocon

@@ -33,8 +33,12 @@ std::vector<BivalencePoint> bivalence_series(const MessageAdversary& adversary,
 std::optional<MergedChain> find_merged_chain(const MessageAdversary& adversary,
                                              const DepthAnalysis& analysis,
                                              Value v0, Value v1) {
-  const std::vector<PrefixState>& leaves = analysis.leaves();
+  const FlatLevel& leaves = analysis.leaves();
   const int n = analysis.num_processes;
+  const auto uniform_input = [&leaves](std::size_t i) {
+    const std::span<const Value> inputs = leaves.inputs(i);
+    return uniform_value(InputVector(inputs.begin(), inputs.end()));
+  };
 
   // Locate a component containing both valences and endpoints within it.
   int start = -1;
@@ -44,7 +48,7 @@ std::optional<MergedChain> find_merged_chain(const MessageAdversary& adversary,
     const auto& info = analysis.components[static_cast<std::size_t>(comp)];
     if ((info.valence_mask & (1u << v0)) != 0 &&
         (info.valence_mask & (1u << v1)) != 0 &&
-        uniform_value(leaves[i].inputs) == v0) {
+        uniform_input(i) == v0) {
       start = static_cast<int>(i);
       target_component = comp;
       break;
@@ -59,7 +63,7 @@ std::optional<MergedChain> find_merged_chain(const MessageAdversary& adversary,
     if (analysis.leaf_component[i] != target_component) continue;
     for (int p = 0; p < n; ++p) {
       buckets[static_cast<std::size_t>(p)]
-             [leaves[i].views[static_cast<std::size_t>(p)]]
+             [leaves.views(i)[static_cast<std::size_t>(p)]]
                  .push_back(static_cast<int>(i));
     }
   }
@@ -75,13 +79,13 @@ std::optional<MergedChain> find_merged_chain(const MessageAdversary& adversary,
   while (!queue.empty() && goal < 0) {
     const int i = queue.front();
     queue.pop_front();
-    if (uniform_value(leaves[static_cast<std::size_t>(i)].inputs) == v1) {
+    if (uniform_input(static_cast<std::size_t>(i)) == v1) {
       goal = i;
       break;
     }
     for (int p = 0; p < n; ++p) {
-      const ViewId id =
-          leaves[static_cast<std::size_t>(i)].views[static_cast<std::size_t>(p)];
+      const ViewId id = leaves.views(
+          static_cast<std::size_t>(i))[static_cast<std::size_t>(p)];
       for (const int j : buckets[static_cast<std::size_t>(p)][id]) {
         if (visited[static_cast<std::size_t>(j)]) continue;
         visited[static_cast<std::size_t>(j)] = true;
@@ -122,7 +126,7 @@ std::optional<RunPrefix> fair_sequence_prefix(
   const DepthAnalysis analysis = analyze_depth(adversary, options);
   if (analysis.truncated || analysis.valence_separated) return std::nullopt;
 
-  const std::vector<PrefixState>& leaves = analysis.leaves();
+  const FlatLevel& leaves = analysis.leaves();
   int best = -1;
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     const int comp = analysis.leaf_component[i];
@@ -132,7 +136,8 @@ std::optional<RunPrefix> fair_sequence_prefix(
     }
     if (best < 0) best = static_cast<int>(i);
     // Prefer a mixed-input representative (the classic bivalent start).
-    if (uniform_value(leaves[i].inputs) < 0) {
+    const std::span<const Value> inputs = leaves.inputs(i);
+    if (uniform_value(InputVector(inputs.begin(), inputs.end())) < 0) {
       best = static_cast<int>(i);
       break;
     }

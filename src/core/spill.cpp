@@ -51,6 +51,8 @@ class Writer {
     put_raw(&value, sizeof(T));
   }
   void put_raw(const void* data, std::size_t bytes) {
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (bytes == 0) return;
     if (bytes > buffer_.size() - used_) {
       flush();
       if (bytes >= buffer_.size()) {
@@ -111,6 +113,7 @@ class Reader {
     return value;
   }
   void get_raw(void* data, std::size_t bytes) {
+    if (bytes == 0) return;
     if (std::fread(data, 1, bytes, file_) != bytes) {
       fail("short read", path_);
     }
@@ -185,59 +188,42 @@ struct FrontierSpill::Io {
 
   static void save_chunk(Writer& writer, const PendingFrontier& chunk) {
     writer.put<std::uint64_t>(kSpillMagic);
-    writer.put<std::uint64_t>(chunk.states.size());
-    const std::uint32_t n_inputs =
-        chunk.states.empty()
-            ? 0
-            : static_cast<std::uint32_t>(chunk.states.front().inputs.size());
-    const std::uint32_t n_reach =
-        chunk.states.empty()
-            ? 0
-            : static_cast<std::uint32_t>(chunk.states.front().reach.size());
-    writer.put<std::uint32_t>(n_inputs);
-    writer.put<std::uint32_t>(n_reach);
-    for (const PendingState& state : chunk.states) {
-      assert(state.inputs.size() == n_inputs && state.reach.size() == n_reach);
-      writer.put_raw(state.inputs.data(), n_inputs * sizeof(Value));
-      writer.put_raw(state.reach.data(), n_reach * sizeof(NodeMask));
-      writer.put<AdvState>(state.adv_state);
-      writer.put<std::uint64_t>(state.multiplicity);
-      writer.put<std::int32_t>(state.parent);
-      writer.put<std::int32_t>(state.letter);
-    }
+    writer.put<std::int32_t>(chunk.n);
+    writer.put<std::uint64_t>(chunk.size());
+    writer.put_raw(chunk.rows.data(),
+                   chunk.rows.size() * sizeof(std::uint32_t));
+    writer.put_raw(chunk.multiplicity.data(),
+                   chunk.multiplicity.size() * sizeof(std::uint64_t));
     save_table(writer, chunk.views);
     save_table(writer, chunk.state_index);
-    writer.put<std::uint64_t>(chunk.children.size());
-    for (const std::vector<int>& kids : chunk.children) {
-      writer.put<std::uint64_t>(kids.size());
-      writer.put_raw(kids.data(), kids.size() * sizeof(int));
-    }
+    writer.put<std::uint64_t>(chunk.children.offsets.size());
+    writer.put_raw(chunk.children.offsets.data(),
+                   chunk.children.offsets.size() * sizeof(std::size_t));
+    writer.put<std::uint64_t>(chunk.children.targets.size());
+    writer.put_raw(chunk.children.targets.data(),
+                   chunk.children.targets.size() * sizeof(int));
   }
 
   static void load_chunk(Reader& reader, PendingFrontier& chunk) {
     if (reader.get<std::uint64_t>() != kSpillMagic) {
       fail("bad magic", chunk.spilled->path());
     }
-    chunk.states.resize(reader.get<std::uint64_t>());
-    const auto n_inputs = reader.get<std::uint32_t>();
-    const auto n_reach = reader.get<std::uint32_t>();
-    for (PendingState& state : chunk.states) {
-      state.inputs.resize(n_inputs);
-      reader.get_raw(state.inputs.data(), n_inputs * sizeof(Value));
-      state.reach.resize(n_reach);
-      reader.get_raw(state.reach.data(), n_reach * sizeof(NodeMask));
-      state.adv_state = reader.get<AdvState>();
-      state.multiplicity = reader.get<std::uint64_t>();
-      state.parent = reader.get<std::int32_t>();
-      state.letter = reader.get<std::int32_t>();
-    }
+    chunk.n = reader.get<std::int32_t>();
+    const auto states = static_cast<std::size_t>(reader.get<std::uint64_t>());
+    chunk.rows.resize(states * chunk.stride());
+    reader.get_raw(chunk.rows.data(),
+                   chunk.rows.size() * sizeof(std::uint32_t));
+    chunk.multiplicity.resize(states);
+    reader.get_raw(chunk.multiplicity.data(),
+                   states * sizeof(std::uint64_t));
     load_table(reader, chunk.views);
     load_table(reader, chunk.state_index);
-    chunk.children.resize(reader.get<std::uint64_t>());
-    for (std::vector<int>& kids : chunk.children) {
-      kids.resize(reader.get<std::uint64_t>());
-      reader.get_raw(kids.data(), kids.size() * sizeof(int));
-    }
+    chunk.children.offsets.resize(reader.get<std::uint64_t>());
+    reader.get_raw(chunk.children.offsets.data(),
+                   chunk.children.offsets.size() * sizeof(std::size_t));
+    chunk.children.targets.resize(reader.get<std::uint64_t>());
+    reader.get_raw(chunk.children.targets.data(),
+                   chunk.children.targets.size() * sizeof(int));
   }
 };
 
@@ -284,7 +270,8 @@ void FrontierSpill::spill(PendingFrontier& chunk) {
   Io::save_chunk(writer, chunk);
   const std::uint64_t written = writer.finish();
   // Release the payload; the shell (chunk bounds, overflow, stats) stays.
-  chunk.states = {};
+  chunk.rows = {};
+  chunk.multiplicity = {};
   chunk.views = WordSeqIndex{};
   chunk.state_index = WordSeqIndex{};
   chunk.children = {};

@@ -4,7 +4,7 @@
 // one at a time -- in the same deterministic (root, chunk) order the
 // merge already uses -- through merge()/commit(). Spilling is an
 // execution detail like the chunk size: a slice round-trips losslessly
-// (states, both KeyCodec-packed dedup tables, children, in order), so
+// (rows, both KeyCodec-packed dedup tables, children, in order), so
 // artifacts are byte-identical at every budget, thread count, chunk
 // size, and frontier mode. What changes is only the resident-set bound:
 // with spill on, a level holds the merged result plus at most one
@@ -109,7 +109,7 @@ class FrontierSpill {
   bool should_spill(const PendingFrontier& chunk,
                     std::size_t level_chunks) const;
 
-  /// Serializes the chunk's payload (states, views, state_index,
+  /// Serializes the chunk's payload (rows, views, state_index,
   /// children) to a new spill file and releases it from memory;
   /// chunk.spilled holds the ticket. chunk/overflow/stats stay resident.
   void spill(PendingFrontier& chunk);

@@ -1,5 +1,6 @@
 #include "ptg/view_intern.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -40,22 +41,53 @@ ViewId ViewInterner::base(ProcessId p, Value x) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint32_t>(x);
   const auto [it, inserted] =
-      base_table_.try_emplace(key, static_cast<ViewId>(nodes_.size()));
+      base_table_.try_emplace(key, static_cast<ViewId>(records_.size()));
   if (inserted) {
-    Node node;
-    node.process = p;
-    node.depth = 0;
-    node.input = x;
-    nodes_.push_back(std::move(node));
+    Record record;
+    record.process = p;
+    record.depth = 0;
+    record.input = x;
+    records_.push_back(record);
   }
   return it->second;
 }
 
 ViewId ViewInterner::step(ProcessId q, NodeMask mask,
                           const std::vector<ViewId>& sender_ids) {
+  return step_ids(q, mask, sender_ids.data(), sender_ids.size());
+}
+
+std::uint64_t ViewInterner::step_hash(ProcessId q, NodeMask mask,
+                                      const ViewId* senders,
+                                      std::size_t count) {
+  std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q))
+                     << 32) ^
+                    mask;
+  h *= 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < count; ++i) {
+    h = (h ^ static_cast<std::uint32_t>(senders[i])) * 0xff51afd7ed558ccdull;
+  }
+  return h ^ (h >> 29);
+}
+
+void ViewInterner::grow_step_slots() {
+  std::vector<StepSlot> next(
+      step_slots_.empty() ? 1024 : step_slots_.size() * 2);
+  const std::size_t slot_mask = next.size() - 1;
+  for (const StepSlot& slot : step_slots_) {
+    if (slot.id < 0) continue;
+    std::size_t pos = slot.hash & slot_mask;
+    while (next[pos].id >= 0) pos = (pos + 1) & slot_mask;
+    next[pos] = slot;
+  }
+  step_slots_ = std::move(next);
+}
+
+ViewId ViewInterner::step_ids(ProcessId q, NodeMask mask,
+                              const ViewId* senders, std::size_t count) {
   check_owner();
   assert(mask_contains(mask, q));  // self-loop invariant
-  if (std::popcount(mask) != static_cast<int>(sender_ids.size())) {
+  if (std::popcount(mask) != static_cast<int>(count)) {
     die("step() sender count does not match the in-mask popcount");
   }
 #ifndef NDEBUG
@@ -64,34 +96,52 @@ ViewId ViewInterner::step(ProcessId q, NodeMask mask,
   // the shape advance() produces. Catches hand-rolled unsorted calls.
   {
     NodeMask rest = mask;
-    for (const ViewId id : sender_ids) {
-      assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size() &&
+    for (std::size_t k = 0; k < count; ++k) {
+      const ViewId id = senders[k];
+      assert(id >= 0 && static_cast<std::size_t>(id) < records_.size() &&
              "step() sender id not interned here");
       const int p = std::countr_zero(rest);
       rest &= rest - 1;
-      const Node& sender = nodes_[static_cast<std::size_t>(id)];
+      const Record& sender = records_[static_cast<std::size_t>(id)];
       assert(sender.process == p &&
              "step() sender ids not in increasing process (mask) order");
       assert(sender.depth ==
-                 nodes_[static_cast<std::size_t>(sender_ids.front())].depth &&
+                 records_[static_cast<std::size_t>(senders[0])].depth &&
              "step() senders at mixed depths");
     }
   }
 #endif
-  StepKey key{q, mask, sender_ids};
-  const auto it = step_table_.find(key);
-  if (it != step_table_.end()) return it->second;
-  const auto id = static_cast<ViewId>(nodes_.size());
-  Node node;
-  node.process = q;
+  if ((step_count_ + 1) * 10 > step_slots_.size() * 7) grow_step_slots();
+  const std::size_t slot_mask = step_slots_.size() - 1;
+  const auto hash =
+      static_cast<std::uint32_t>(step_hash(q, mask, senders, count));
+  std::size_t pos = hash & slot_mask;
+  while (true) {
+    const StepSlot slot = step_slots_[pos];
+    if (slot.id < 0) break;
+    if (slot.hash == hash) {
+      const Record& r = records_[static_cast<std::size_t>(slot.id)];
+      if (r.process == q && r.mask == mask && r.num_senders == count &&
+          std::equal(senders, senders + count,
+                     sender_pool_.data() + r.first_sender)) {
+        return slot.id;
+      }
+    }
+    pos = (pos + 1) & slot_mask;
+  }
+  const auto id = static_cast<ViewId>(records_.size());
+  Record record;
+  record.process = q;
   // Depth = sender depth + 1; the self-loop guarantees q itself appears
   // among the senders, so every step node has depth >= 1.
-  node.depth =
-      nodes_[static_cast<std::size_t>(sender_ids.front())].depth + 1;
-  node.mask = mask;
-  node.senders = sender_ids;
-  step_table_.emplace(std::move(key), id);
-  nodes_.push_back(std::move(node));
+  record.depth = records_[static_cast<std::size_t>(senders[0])].depth + 1;
+  record.mask = mask;
+  record.first_sender = sender_pool_.size();
+  record.num_senders = static_cast<std::uint32_t>(count);
+  sender_pool_.insert(sender_pool_.end(), senders, senders + count);
+  records_.push_back(record);
+  step_slots_[pos] = StepSlot{id, hash};
+  ++step_count_;
   return id;
 }
 
@@ -133,20 +183,21 @@ ViewVector ViewInterner::of_prefix(const RunPrefix& prefix) {
 std::vector<ViewId> ViewInterner::absorb(const ViewInterner& other) {
   check_owner();
   std::vector<ViewId> remap;
-  remap.reserve(other.nodes_.size());
+  remap.reserve(other.records_.size());
   std::vector<ViewId> senders;
-  for (const Node& node : other.nodes_) {
-    if (node.depth == 0) {
-      remap.push_back(base(node.process, node.input));
+  for (const Record& record : other.records_) {
+    if (record.depth == 0) {
+      remap.push_back(base(record.process, record.input));
       continue;
     }
     senders.clear();
-    senders.reserve(node.senders.size());
-    for (const ViewId id : node.senders) {
+    for (std::uint32_t k = 0; k < record.num_senders; ++k) {
       // Step nodes only reference earlier ids, so the remap entry exists.
-      senders.push_back(remap[static_cast<std::size_t>(id)]);
+      senders.push_back(remap[static_cast<std::size_t>(
+          other.sender_pool_[record.first_sender + k])]);
     }
-    remap.push_back(step(node.process, node.mask, senders));
+    remap.push_back(
+        step_ids(record.process, record.mask, senders.data(), senders.size()));
   }
   return remap;
 }

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -83,7 +84,7 @@ class ViewInterner {
   ViewVector of_prefix(const RunPrefix& prefix);
 
   /// Total number of distinct views interned so far.
-  std::size_t size() const { return nodes_.size(); }
+  std::size_t size() const { return records_.size(); }
 
   /// Re-interns every view of `other` into this interner (parents before
   /// children, so sender references resolve) and returns the translation
@@ -99,33 +100,32 @@ class ViewInterner {
   void attach_to_current_thread();
 
   /// Metadata of an interned view (for reconstruction, debugging, tests).
+  /// `senders` points into the interner and stays valid until its next
+  /// mutation.
   struct Node {
     ProcessId process = -1;
     int depth = 0;          // time t of the cone's apex (q, t)
     Value input = -1;       // input value, for depth-0 nodes only
     NodeMask mask = 0;      // round-t in-mask, for depth > 0
-    std::vector<ViewId> senders;  // cone ids of senders at t-1, mask order
+    std::span<const ViewId> senders;  // cone ids of senders at t-1, mask order
   };
-  const Node& node(ViewId id) const {
-    return nodes_[static_cast<std::size_t>(id)];
+  Node node(ViewId id) const {
+    const Record& r = records_[static_cast<std::size_t>(id)];
+    return Node{r.process, r.depth, r.input, r.mask,
+                std::span<const ViewId>(sender_pool_.data() + r.first_sender,
+                                        r.num_senders)};
   }
 
  private:
-  struct StepKey {
-    ProcessId q;
-    NodeMask mask;
-    std::vector<ViewId> senders;
-    bool operator==(const StepKey&) const = default;
-  };
-  struct StepKeyHash {
-    std::size_t operator()(const StepKey& k) const noexcept {
-      std::size_t h = static_cast<std::size_t>(k.q) * 0x9e3779b97f4a7c15ull;
-      h ^= k.mask + 0x9e3779b9u + (h << 6) + (h >> 2);
-      for (const ViewId id : k.senders) {
-        h ^= static_cast<std::size_t>(id) + 0x9e3779b9u + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
+  /// One interned view; step views keep their sender ids in sender_pool_
+  /// so interning allocates nothing per view.
+  struct Record {
+    ProcessId process = -1;
+    int depth = 0;
+    Value input = -1;
+    NodeMask mask = 0;
+    std::size_t first_sender = 0;
+    std::uint32_t num_senders = 0;
   };
 
   /// Aborts unless the calling thread owns this interner, claiming
@@ -133,9 +133,25 @@ class ViewInterner {
   /// owning thread.
   void check_owner();
 
+  /// step() on a raw sender list.
+  ViewId step_ids(ProcessId q, NodeMask mask, const ViewId* senders,
+                  std::size_t count);
+  static std::uint64_t step_hash(ProcessId q, NodeMask mask,
+                                 const ViewId* senders, std::size_t count);
+  void grow_step_slots();
+
   std::unordered_map<std::uint64_t, ViewId> base_table_;
-  std::unordered_map<StepKey, ViewId, StepKeyHash> step_table_;
-  std::vector<Node> nodes_;
+  /// Open-addressed index over the step views: a power-of-two table of
+  /// (view id, low hash bits), id -1 = empty. The cached hash bits let a
+  /// probe skip foreign entries without touching their records.
+  struct StepSlot {
+    ViewId id = -1;
+    std::uint32_t hash = 0;
+  };
+  std::vector<StepSlot> step_slots_;
+  std::size_t step_count_ = 0;
+  std::vector<Record> records_;
+  std::vector<ViewId> sender_pool_;
   /// Id of the thread that owns mutation rights; default-constructed until
   /// the first mutation.
   std::atomic<std::thread::id> owner_{};

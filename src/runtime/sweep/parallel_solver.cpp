@@ -1,10 +1,15 @@
 #include "runtime/sweep/parallel_solver.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,10 +25,30 @@ std::atomic<std::size_t> g_default_chunk_states{0};
 
 // One root's engine plus the private interner it expands into. The
 // interner must outlive the engine and stay address-stable, hence the
-// two-member struct instead of engine-owned storage.
+// two-member struct instead of engine-owned storage; both are released
+// as soon as the root's rows have been copied into the merged analysis.
 struct RootShard {
-  ViewInterner interner;
+  std::unique_ptr<ViewInterner> interner = std::make_unique<ViewInterner>();
   std::optional<FrontierEngine> engine;
+};
+
+// Times one trace span from construction to finish(); a no-op without a
+// trace writer.
+class Span {
+ public:
+  explicit Span(telemetry::TraceWriter* trace)
+      : trace_(trace), start_(trace != nullptr ? trace->now_us() : 0) {}
+  void finish(std::string_view name, std::string_view category,
+              std::initializer_list<telemetry::TraceArg> args) {
+    if (trace_ != nullptr) {
+      trace_->complete(name, category, start_, trace_->now_us() - start_,
+                       args);
+    }
+  }
+
+ private:
+  telemetry::TraceWriter* trace_;
+  std::uint64_t start_;
 };
 
 }  // namespace
@@ -63,10 +88,14 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       all_input_vectors(n, options.num_values).size());
 
   // ---- Level 0: one engine (and private interner) per root.
+  // All engines lease chunk scratch from one pool: one arena per
+  // concurrently expanding thread, freed when the analysis ends.
+  const auto arenas = std::make_shared<ExpandArenas>();
   std::vector<RootShard> shards(num_roots);
   pool.parallel_for(num_roots, [&](std::size_t r) {
-    shards[r].engine.emplace(adversary, options, shards[r].interner,
-                             static_cast<int>(r), static_cast<int>(r) + 1);
+    shards[r].engine.emplace(adversary, options, *shards[r].interner,
+                             static_cast<int>(r), static_cast<int>(r) + 1,
+                             arenas);
   });
 
   // ---- Levels 1..depth, level-synchronous: expand all (root, chunk)
@@ -170,7 +199,13 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
           std::make_move_iterator(
               expansions.begin() +
               static_cast<std::ptrdiff_t>(first_item[r + 1])));
+      Span span(trace);
       pending[r] = shards[r].engine->merge(std::move(mine));
+      span.finish("merge", "merge",
+                  {telemetry::TraceArg::num("level",
+                                            static_cast<std::uint64_t>(s)),
+                   telemetry::TraceArg::num("root", r),
+                   telemetry::TraceArg::num("states", pending[r].size())});
     });
 
     // The serial overflow condition on the merged level, checked before
@@ -181,7 +216,7 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     bool overflow = false;
     for (const PendingFrontier& level : pending) {
       overflow |= level.overflow;
-      total += level.states.size();
+      total += level.size();
     }
     if (overflow || total > options.max_states) {
       if (metrics != nullptr) metrics->add_budget_abort();
@@ -193,7 +228,14 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       break;
     }
     pool.parallel_for(num_roots, [&](std::size_t r) {
+      Span span(trace);
       shards[r].engine->commit(std::move(pending[r]));
+      span.finish("commit", "commit",
+                  {telemetry::TraceArg::num("level",
+                                            static_cast<std::uint64_t>(s)),
+                   telemetry::TraceArg::num("root", r),
+                   telemetry::TraceArg::num(
+                       "states", shards[r].engine->frontier().size())});
     });
     if (spill) spill->commit_level();
     if (metrics != nullptr) {
@@ -218,77 +260,115 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
   const int reached = shards.empty() ? 0 : shards.front().engine->level();
   analysis.depth = reached;
 
-  // ---- Deterministic merge, in root order.
+  // ---- Root merge, part 1: absorb every shard interner, serially in
+  // root order -- the shared interner's ids must be assigned in the
+  // serial scan's order.
+  const auto depth_arg = telemetry::TraceArg::num(
+      "depth", static_cast<std::uint64_t>(options.depth));
+  Span absorb_span(trace);
   std::vector<std::vector<ViewId>> remap(num_roots);
   for (std::size_t r = 0; r < num_roots; ++r) {
-    remap[r] = analysis.interner->absorb(shards[r].interner);
+    remap[r] = analysis.interner->absorb(*shards[r].interner);
   }
-  // offsets[s][r] = index offset of shard r within merged level s.
-  const auto offsets_of = [&](int s) {
-    std::vector<int> offsets(num_roots + 1, 0);
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      offsets[r + 1] =
-          offsets[r] +
-          static_cast<int>(
-              shards[r].engine->level_sizes()[static_cast<std::size_t>(s)]);
-    }
-    return offsets;
-  };
-  const auto merge_level = [&](int s) {
-    std::vector<PrefixState> merged;
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      const FrontierEngine& engine = *shards[r].engine;
-      const std::vector<PrefixState>& local =
-          options.keep_levels ? engine.levels()[static_cast<std::size_t>(s)]
-                              : engine.frontier();
-      for (const PrefixState& state : local) {
-        PrefixState copy = state;
-        for (ViewId& id : copy.views) {
-          id = remap[r][static_cast<std::size_t>(id)];
-        }
-        merged.push_back(std::move(copy));
-      }
-    }
-    return merged;
-  };
+  absorb_span.finish("absorb", "root_merge", {depth_arg});
 
-  if (options.keep_levels) {
-    std::vector<std::vector<int>> offsets;
-    offsets.reserve(static_cast<std::size_t>(reached) + 1);
-    for (int s = 0; s <= reached; ++s) offsets.push_back(offsets_of(s));
-    for (int s = 0; s <= reached; ++s) {
-      analysis.levels.push_back(merge_level(s));
-      std::vector<std::pair<int, int>> parents;
-      for (std::size_t r = 0; r < num_roots; ++r) {
-        for (const auto& [parent, letter] :
-             shards[r].engine->first_parent()[static_cast<std::size_t>(s)]) {
-          parents.emplace_back(
-              parent < 0 ? -1 : parent + offsets[static_cast<std::size_t>(
-                                              s - 1)][r],
-              letter);
-        }
+  // ---- Root merge, part 2: every merged level is preallocated from
+  // per-root offset prefix sums, then each root copies its rows (view ids
+  // remapped), multiplicities, and links into its slice in parallel and
+  // frees its engine right after. Without keep_levels each engine holds
+  // only its frontier, which becomes the single merged level.
+  Span copy_span(trace);
+  const std::size_t num_levels =
+      options.keep_levels ? static_cast<std::size_t>(reached) + 1 : 1;
+  const auto local_level = [&](std::size_t r,
+                                std::size_t j) -> const FlatLevel& {
+    return shards[r].engine->levels()[j];
+  };
+  // row_offset[j][r] = first row of root r in merged level j;
+  // link_offset[j][r] = first child target of root r in merged CSR j.
+  std::vector<std::vector<std::size_t>> row_offset(
+      num_levels, std::vector<std::size_t>(num_roots + 1, 0));
+  std::vector<std::vector<std::size_t>> link_offset(
+      num_levels, std::vector<std::size_t>(num_roots + 1, 0));
+  for (std::size_t j = 0; j < num_levels; ++j) {
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      row_offset[j][r + 1] = row_offset[j][r] + local_level(r, j).size();
+      if (options.keep_levels && j + 1 < num_levels) {
+        link_offset[j][r + 1] =
+            link_offset[j][r] +
+            shards[r].engine->children()[j].targets.size();
       }
-      analysis.first_parent.push_back(std::move(parents));
     }
-    for (int s = 0; s < reached; ++s) {
-      std::vector<std::vector<int>> kids;
-      for (std::size_t r = 0; r < num_roots; ++r) {
-        for (const std::vector<int>& local :
-             shards[r].engine->children()[static_cast<std::size_t>(s)]) {
-          std::vector<int> shifted;
-          shifted.reserve(local.size());
-          for (const int child : local) {
-            shifted.push_back(
-                child + offsets[static_cast<std::size_t>(s + 1)][r]);
-          }
-          kids.push_back(std::move(shifted));
-        }
-      }
-      analysis.children.push_back(std::move(kids));
-    }
-  } else {
-    analysis.levels.push_back(merge_level(reached));
   }
+  analysis.levels.resize(num_levels);
+  for (std::size_t j = 0; j < num_levels; ++j) {
+    const std::size_t total = row_offset[j][num_roots];
+    FlatLevel& level = analysis.levels[j];
+    level.n = n;
+    level.rows.resize(total * level.stride());
+    level.multiplicity.resize(total);
+    level.root_inputs.resize(num_roots * static_cast<std::size_t>(n));
+    level.root_offsets = row_offset[j];
+    if (options.keep_levels) {
+      analysis.first_parent.emplace_back(total);
+      if (j + 1 < num_levels) {
+        ChildLinks& links = analysis.children.emplace_back();
+        links.offsets.resize(total + 1, 0);
+        links.targets.resize(link_offset[j][num_roots]);
+      }
+    }
+  }
+  pool.parallel_for(num_roots, [&](std::size_t r) {
+    const std::vector<ViewId>& ids = remap[r];
+    for (std::size_t j = 0; j < num_levels; ++j) {
+      const FlatLevel& local = local_level(r, j);
+      FlatLevel& level = analysis.levels[j];
+      const std::size_t base = row_offset[j][r];
+      const std::size_t stride = level.stride();
+      std::uint32_t* out = level.rows.data() + base * stride;
+      for (std::size_t i = 0; i < local.size(); ++i, out += stride) {
+        const std::uint32_t* row = local.row(i);
+        std::copy(row, row + stride, out);
+        for (std::size_t q = 1; q <= static_cast<std::size_t>(n); ++q) {
+          out[q] = static_cast<std::uint32_t>(ids[row[q]]);
+        }
+      }
+      std::copy(local.multiplicity.begin(), local.multiplicity.end(),
+                level.multiplicity.begin() + static_cast<std::ptrdiff_t>(base));
+      std::copy(local.root_inputs.begin(), local.root_inputs.end(),
+                level.root_inputs.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        r * static_cast<std::size_t>(n)));
+      if (!options.keep_levels) continue;
+      const std::vector<std::pair<int, int>>& parents =
+          shards[r].engine->first_parent()[j];
+      const int parent_base =
+          j == 0 ? 0 : static_cast<int>(row_offset[j - 1][r]);
+      for (std::size_t i = 0; i < parents.size(); ++i) {
+        const auto [parent, letter] = parents[i];
+        analysis.first_parent[j][base + i] = {
+            parent < 0 ? -1 : parent + parent_base, letter};
+      }
+      if (j + 1 < num_levels) {
+        const ChildLinks& kids = shards[r].engine->children()[j];
+        ChildLinks& links = analysis.children[j];
+        const std::size_t target_base = link_offset[j][r];
+        const auto child_base = static_cast<int>(row_offset[j + 1][r]);
+        for (std::size_t i = 0; i < kids.size(); ++i) {
+          links.offsets[base + i + 1] = kids.offsets[i + 1] + target_base;
+        }
+        for (std::size_t k = 0; k < kids.targets.size(); ++k) {
+          links.targets[target_base + k] = kids.targets[k] + child_base;
+        }
+      }
+    }
+    shards[r].engine.reset();
+    shards[r].interner.reset();
+  });
+  copy_span.finish("copy/remap", "root_merge",
+                   {depth_arg,
+                    telemetry::TraceArg::num(
+                        "leaves", analysis.levels.back().size())});
 
   if (metrics != nullptr && spill) {
     const FrontierSpill::Stats totals = spill->stats();
@@ -300,7 +380,16 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     metrics->add_spill(flushed);
   }
 
-  compute_components(options, analysis);
+  Span components_span(trace);
+  compute_components(
+      options, analysis,
+      [&pool](std::size_t count, const std::function<void(std::size_t)>& body) {
+        pool.parallel_for(count, body);
+      });
+  components_span.finish(
+      "components", "components",
+      {depth_arg, telemetry::TraceArg::num("components",
+                                           analysis.components.size())});
   return analysis;
 }
 

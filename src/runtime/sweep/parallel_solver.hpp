@@ -24,10 +24,21 @@
 // (the tests/golden/ artifacts are diffed with chunking forced to its
 // finest setting by ctest). After the last level, shard results are
 // merged in root order into one DepthAnalysis, so every field is
-// bit-identical to the serial analyze_depth() output. The only internal
-// difference is the private numbering of interned view ids, which the
-// deterministic absorb() merge keeps consistent; no observable field
-// depends on id values, only on id equality.
+// bit-identical to the serial analyze_depth() output. The root merge has
+// two steps: absorb() folds the shard interners into the shared one,
+// serially in root order (id assignment order is part of the contract);
+// then every root copies its flat rows (view ids remapped), links, and
+// multiplicities in parallel into merged levels preallocated from
+// per-root offset prefix sums, and frees its engine as soon as it is
+// done. compute_components then runs on the same pool. The only internal
+// difference from the serial path is the private numbering of interned
+// view ids, which the deterministic absorb() merge keeps consistent; no
+// observable field depends on id values, only on id equality.
+//
+// Tracing: besides the level and chunk spans, every root's per-level
+// merge and commit, the root merge (absorb, then copy/remap), and
+// components get their own spans, so a traced run covers the whole
+// post-BFS tail.
 //
 // Truncation: a level overflows iff the sum of its per-root pending
 // sizes exceeds max_states -- the same condition the serial BFS checks.

@@ -203,7 +203,8 @@ TEST(ApiSession, DecisionTableQueryRecordsTheCertificateShape) {
 TEST(ApiSession, CertificatesOutliveTheRunViaTheInternerArena) {
   Session session({.num_threads = 2, .record_global = false});
   // Take a decision table out of a run, drop the outcome vector, and use
-  // the table afterwards: the session arena keeps its interner alive.
+  // the table afterwards: the table owns its interner (shared_ptr), so it
+  // stays usable without the session retaining anything.
   std::optional<DecisionTable> table;
   {
     const JobOutcome outcome =

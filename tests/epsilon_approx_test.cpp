@@ -102,8 +102,8 @@ TEST(EpsilonApprox, MultiplicityAccounting) {
   for (int depth = 0; depth <= 4; ++depth) {
     const DepthAnalysis analysis = analyze_depth(*ma, opts(depth, false));
     std::uint64_t total = 0;
-    for (const PrefixState& leaf : analysis.leaves()) {
-      total += leaf.multiplicity;
+    for (const std::uint64_t multiplicity : analysis.leaves().multiplicity) {
+      total += multiplicity;
     }
     std::uint64_t expect = 4;  // binary inputs, n = 2
     for (int t = 0; t < depth; ++t) expect *= 3;
@@ -123,11 +123,10 @@ TEST(EpsilonApprox, LeafStatesMatchReconstructedPrefixes) {
     const int i = static_cast<int>(rng() % leaves.size());
     const auto prefix = reconstruct_prefix(*ma, analysis, i);
     ASSERT_TRUE(prefix.has_value());
-    EXPECT_EQ(analysis.interner->of_prefix(*prefix),
-              leaves[static_cast<std::size_t>(i)].views);
-    EXPECT_EQ(reach_of_prefix(*prefix),
-              leaves[static_cast<std::size_t>(i)].reach);
-    EXPECT_EQ(prefix->inputs, leaves[static_cast<std::size_t>(i)].inputs);
+    const PrefixState leaf = leaves.state(static_cast<std::size_t>(i));
+    EXPECT_EQ(analysis.interner->of_prefix(*prefix), leaf.views);
+    EXPECT_EQ(reach_of_prefix(*prefix), leaf.reach);
+    EXPECT_EQ(prefix->inputs, leaf.inputs);
   }
 }
 
@@ -141,8 +140,8 @@ TEST(EpsilonApprox, ComponentsAreViewClosedAndMinimal) {
     for (std::size_t j = i + 1; j < leaves.size(); ++j) {
       bool share = false;
       for (int p = 0; p < 2; ++p) {
-        if (leaves[i].views[static_cast<std::size_t>(p)] ==
-            leaves[j].views[static_cast<std::size_t>(p)]) {
+        if (leaves.views(i)[static_cast<std::size_t>(p)] ==
+            leaves.views(j)[static_cast<std::size_t>(p)]) {
           share = true;
         }
       }
@@ -170,8 +169,8 @@ TEST(EpsilonApprox, BroadcasterInputsUniform) {
       // Compare against an arbitrary other leaf of the same component.
       for (std::size_t j = 0; j < leaves.size(); ++j) {
         if (analysis.leaf_component[j] == analysis.leaf_component[i]) {
-          EXPECT_EQ(leaves[j].inputs[static_cast<std::size_t>(p)],
-                    leaves[i].inputs[static_cast<std::size_t>(p)]);
+          EXPECT_EQ(leaves.inputs(j)[static_cast<std::size_t>(p)],
+                    leaves.inputs(i)[static_cast<std::size_t>(p)]);
         }
       }
     }

@@ -12,6 +12,7 @@
 
 #include "adversary/family.hpp"
 #include "adversary/omission.hpp"
+#include "analysis_compare.hpp"
 #include "core/epsilon_approx.hpp"
 #include "core/frontier.hpp"
 #include "scenario/fuzz.hpp"
@@ -36,41 +37,7 @@ DepthAnalysis run_with(const MessageAdversary& adversary,
   return analyze_depth(adversary, options);
 }
 
-void expect_analyses_identical(const DepthAnalysis& a, const DepthAnalysis& b,
-                               const char* what) {
-  EXPECT_EQ(a.depth, b.depth) << what;
-  EXPECT_EQ(a.truncated, b.truncated) << what;
-  ASSERT_EQ(a.levels.size(), b.levels.size()) << what;
-  for (std::size_t s = 0; s < a.levels.size(); ++s) {
-    ASSERT_EQ(a.levels[s].size(), b.levels[s].size()) << what << " level "
-                                                      << s;
-    for (std::size_t i = 0; i < a.levels[s].size(); ++i) {
-      EXPECT_EQ(a.levels[s][i].inputs, b.levels[s][i].inputs)
-          << what << " level " << s << " state " << i;
-      // Identical interner insertion order => identical view ids, not
-      // merely isomorphic ones: the strongest determinism contract.
-      EXPECT_EQ(a.levels[s][i].views, b.levels[s][i].views)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].reach, b.levels[s][i].reach)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].adv_state, b.levels[s][i].adv_state)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].multiplicity, b.levels[s][i].multiplicity)
-          << what << " level " << s << " state " << i;
-    }
-  }
-  EXPECT_EQ(a.children, b.children) << what;
-  EXPECT_EQ(a.first_parent, b.first_parent) << what;
-  EXPECT_EQ(a.leaf_component, b.leaf_component) << what;
-  EXPECT_EQ(a.components, b.components) << what;
-  EXPECT_EQ(a.valence_separated, b.valence_separated) << what;
-  EXPECT_EQ(a.merged_components, b.merged_components) << what;
-  EXPECT_EQ(a.valent_broadcastable, b.valent_broadcastable) << what;
-  EXPECT_EQ(a.strong_assignable, b.strong_assignable) << what;
-  ASSERT_NE(a.interner, nullptr) << what;
-  ASSERT_NE(b.interner, nullptr) << what;
-  EXPECT_EQ(a.interner->size(), b.interner->size()) << what;
-}
+using test_support::expect_analyses_identical;
 
 TEST(FrontierModeNames, ParseAndPrintRoundTrip) {
   EXPECT_EQ(frontier_mode_from_name("auto"), FrontierMode::kAuto);

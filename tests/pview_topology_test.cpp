@@ -60,8 +60,8 @@ TEST(PViewTopology, SingleProcessComponentsAreViewClasses) {
   const DepthAnalysis analysis = analyze_depth(*ma, pview(2, 0b01));
   // Components = distinct view ids of process 0 at depth 2.
   std::set<ViewId> distinct;
-  for (const PrefixState& leaf : analysis.leaves()) {
-    distinct.insert(leaf.views[0]);
+  for (std::size_t i = 0; i < analysis.leaves().size(); ++i) {
+    distinct.insert(analysis.leaves().views(i)[0]);
   }
   EXPECT_EQ(analysis.components.size(), distinct.size());
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/omission.hpp"
+#include "analysis_compare.hpp"
 #include "core/epsilon_approx.hpp"
 #include "core/spill.hpp"
 #include "runtime/sweep/parallel_solver.hpp"
@@ -34,41 +35,7 @@ class DefaultSpillGuard {
   SpillOptions saved_;
 };
 
-void expect_analyses_identical(const DepthAnalysis& a, const DepthAnalysis& b,
-                               const char* what) {
-  EXPECT_EQ(a.depth, b.depth) << what;
-  EXPECT_EQ(a.truncated, b.truncated) << what;
-  ASSERT_EQ(a.levels.size(), b.levels.size()) << what;
-  for (std::size_t s = 0; s < a.levels.size(); ++s) {
-    ASSERT_EQ(a.levels[s].size(), b.levels[s].size()) << what << " level "
-                                                      << s;
-    for (std::size_t i = 0; i < a.levels[s].size(); ++i) {
-      EXPECT_EQ(a.levels[s][i].inputs, b.levels[s][i].inputs)
-          << what << " level " << s << " state " << i;
-      // Identical interner insertion order => identical view ids: the
-      // spilled tables must re-intern in exactly the in-RAM order.
-      EXPECT_EQ(a.levels[s][i].views, b.levels[s][i].views)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].reach, b.levels[s][i].reach)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].adv_state, b.levels[s][i].adv_state)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].multiplicity, b.levels[s][i].multiplicity)
-          << what << " level " << s << " state " << i;
-    }
-  }
-  EXPECT_EQ(a.children, b.children) << what;
-  EXPECT_EQ(a.first_parent, b.first_parent) << what;
-  EXPECT_EQ(a.leaf_component, b.leaf_component) << what;
-  EXPECT_EQ(a.components, b.components) << what;
-  EXPECT_EQ(a.valence_separated, b.valence_separated) << what;
-  EXPECT_EQ(a.merged_components, b.merged_components) << what;
-  EXPECT_EQ(a.valent_broadcastable, b.valent_broadcastable) << what;
-  EXPECT_EQ(a.strong_assignable, b.strong_assignable) << what;
-  ASSERT_NE(a.interner, nullptr) << what;
-  ASSERT_NE(b.interner, nullptr) << what;
-  EXPECT_EQ(a.interner->size(), b.interner->size()) << what;
-}
+using test_support::expect_analyses_identical;
 
 TEST(SpillKnobs, BudgetMbToBytesSaturates) {
   EXPECT_EQ(spill_budget_mb_to_bytes(0), 0u);  // 0 = disabled/inherit

@@ -110,8 +110,8 @@ TEST(Fuzz, AnalysisInvariantsN4) {
                 static_cast<std::int64_t>(analysis.leaves().size()));
       // Multiplicity accounting.
       std::uint64_t total = 0;
-      for (const PrefixState& leaf : analysis.leaves()) {
-        total += leaf.multiplicity;
+      for (const std::uint64_t multiplicity : analysis.leaves().multiplicity) {
+        total += multiplicity;
       }
       std::uint64_t expect = 16;  // binary inputs, n = 4
       for (int t = 0; t < depth; ++t) {

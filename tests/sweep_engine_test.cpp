@@ -14,6 +14,7 @@
 #include "adversary/family.hpp"
 #include "adversary/lossy_link.hpp"
 #include "adversary/omission.hpp"
+#include "analysis_compare.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/engine.hpp"
 #include "runtime/sweep/json.hpp"
@@ -78,54 +79,14 @@ TEST(ThreadPool, ResolveThreads) {
 
 // ---- parallel_analyze_depth vs analyze_depth ----------------------------
 
+// The serial engine interns level by level across all roots while the
+// parallel one absorbs root by root, so view ids are a consistent
+// relabeling of each other; every other field is identical.
 void expect_analysis_equal(const DepthAnalysis& serial,
                            const DepthAnalysis& parallel) {
-  ASSERT_EQ(serial.depth, parallel.depth);
-  ASSERT_EQ(serial.truncated, parallel.truncated);
-  ASSERT_EQ(serial.levels.size(), parallel.levels.size());
-  for (std::size_t s = 0; s < serial.levels.size(); ++s) {
-    ASSERT_EQ(serial.levels[s].size(), parallel.levels[s].size())
-        << "level " << s;
-    for (std::size_t i = 0; i < serial.levels[s].size(); ++i) {
-      const PrefixState& a = serial.levels[s][i];
-      const PrefixState& b = parallel.levels[s][i];
-      EXPECT_EQ(a.inputs, b.inputs) << "level " << s << " state " << i;
-      EXPECT_EQ(a.reach, b.reach);
-      EXPECT_EQ(a.adv_state, b.adv_state);
-      EXPECT_EQ(a.multiplicity, b.multiplicity);
-    }
-  }
-  EXPECT_EQ(serial.first_parent, parallel.first_parent);
-  EXPECT_EQ(serial.children, parallel.children);
-  EXPECT_EQ(serial.leaf_component, parallel.leaf_component);
-  ASSERT_EQ(serial.components.size(), parallel.components.size());
-  for (std::size_t c = 0; c < serial.components.size(); ++c) {
-    const ComponentInfo& a = serial.components[c];
-    const ComponentInfo& b = parallel.components[c];
-    EXPECT_EQ(a.num_leaves, b.num_leaves) << "component " << c;
-    EXPECT_EQ(a.valence_mask, b.valence_mask);
-    EXPECT_EQ(a.common_broadcast, b.common_broadcast);
-    EXPECT_EQ(a.broadcasters, b.broadcasters);
-    EXPECT_EQ(a.common_input_values, b.common_input_values);
-    EXPECT_EQ(a.assigned_value, b.assigned_value);
-    EXPECT_EQ(a.assigned_value_strong, b.assigned_value_strong);
-  }
-  EXPECT_EQ(serial.valence_separated, parallel.valence_separated);
-  EXPECT_EQ(serial.merged_components, parallel.merged_components);
-  EXPECT_EQ(serial.valent_broadcastable, parallel.valent_broadcastable);
-  EXPECT_EQ(serial.strong_assignable, parallel.strong_assignable);
-  // Interner ids are a relabeling, but equality structure must agree:
-  // two leaves share process p's view serially iff they do in parallel.
-  const auto& sl = serial.leaves();
-  const auto& pl = parallel.leaves();
-  for (std::size_t i = 0; i < sl.size(); ++i) {
-    for (std::size_t j = i + 1; j < sl.size() && j < i + 16; ++j) {
-      for (std::size_t p = 0; p < sl[i].views.size(); ++p) {
-        EXPECT_EQ(sl[i].views[p] == sl[j].views[p],
-                  pl[i].views[p] == pl[j].views[p]);
-      }
-    }
-  }
+  test_support::expect_analyses_identical(serial, parallel,
+                                          "serial vs parallel",
+                                          test_support::ViewIds::kRelabeled);
 }
 
 TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
