@@ -1,6 +1,5 @@
 #include "adversary/family.hpp"
 
-#include <algorithm>
 #include <climits>
 #include <stdexcept>
 
@@ -106,13 +105,16 @@ FamilyParamRange family_param_range(const std::string& family, int n) {
     return {1, 7, "subset mask over {<-, ->, <->}"};
   }
   if (family == "omission") {
+    // The alphabet's edge masks are 32-bit over n(n-1) positions
+    // (graph/enumerate.hpp), representable only to n = 6.
     if (n < 2) fail_point(family, "n must be >= 2", n);
-    const long long max_f = static_cast<long long>(n) * (n - 1);
-    return {0, static_cast<int>(std::min<long long>(max_f, INT_MAX)),
-            "per-round omission budget f"};
+    if (n > 6) fail_point(family, "n must be <= 6", n);
+    return {0, n * (n - 1), "per-round omission budget f"};
   }
   if (family == "heard_of") {
+    // The alphabet filters all_graphs(n), tractable only to n = 4.
     if (n < 2) fail_point(family, "n must be >= 2", n);
+    if (n > 4) fail_point(family, "n must be <= 4", n);
     return {1, n, "minimal per-receiver in-degree k"};
   }
   if (family == "heard_of_rounds") {
@@ -132,11 +134,14 @@ FamilyParamRange family_param_range(const std::string& family, int n) {
     return {1, INT_MAX, "repetition window w"};
   }
   if (family == "vssc") {
+    // Both alphabets come from all_graphs(n), tractable only to n = 4.
     if (n < 2) fail_point(family, "n must be >= 2", n);
+    if (n > 4) fail_point(family, "n must be <= 4", n);
     return {1, INT_MAX, "stability window length"};
   }
   if (family == "finite_loss") {
     if (n < 2) fail_point(family, "n must be >= 2", n);
+    if (n > 4) fail_point(family, "n must be <= 4", n);
     return {0, 0, "unused (must be 0)"};
   }
   throw std::invalid_argument("unknown adversary family: " + family);

@@ -249,11 +249,15 @@ struct PendingFrontier {
 /// running total exceeds the per-level state cap, so a level that is
 /// going to overflow costs O(max_states) instead of a full expansion.
 /// NOTE: chunk-local counts can overcount the merged level (chunks of
-/// one root may discover the same class), so a tripped budget is a
-/// signal to fall back to exact accounting -- one chunk per root, whose
-/// counts are exact because roots never share classes -- NOT an
-/// overflow verdict by itself. runtime/sweep/parallel_solver.cpp
-/// implements that two-pass protocol.
+/// one root may discover the same class), so a tripped budget is NOT an
+/// overflow verdict by itself. What is exact: every chunk, even one
+/// that aborted partway, holds distinct genuine classes of its root's
+/// next level, and roots never share classes, so the sum over roots of
+/// each root's largest chunk count (stats.pending_states) is a lower
+/// bound on the merged level. runtime/sweep/parallel_solver.cpp decides
+/// a tripped level from that bound in the same pass, and re-expands one
+/// chunk per root (exact counts) only when the bound stays within the
+/// cap.
 class FrontierBudget {
  public:
   explicit FrontierBudget(std::size_t max_states)
@@ -352,8 +356,8 @@ class FrontierEngine {
   /// Expands one chunk by one letter with chunk-local dedup. Read-only:
   /// chunks of one engine may be expanded concurrently. When `budget` is
   /// given the chunk reports its growth there and aborts (overflow set)
-  /// once the shared total trips -- see FrontierBudget for the exactness
-  /// caveat.
+  /// once the shared total trips; the classes it holds then are still
+  /// genuine -- see FrontierBudget for what that makes exact.
   ///
   /// The dedup representation is chosen per chunk by
   /// options.frontier (kAuto by default): when the enumerable child-view

@@ -8,13 +8,17 @@
 
 namespace topocon {
 
-/// All directed graphs on [n] (with self-loops): 2^(n(n-1)) graphs.
-/// Requires n <= 4 to keep the enumeration tractable.
+/// All directed graphs on [n] (with self-loops): 2^(n(n-1)) graphs, in
+/// ascending order of their off-diagonal edge mask. n must be in [1, 4]
+/// to keep the enumeration tractable; std::invalid_argument otherwise.
 std::vector<Digraph> all_graphs(int n);
 
 /// All graphs obtained from the complete graph by removing at most
 /// max_omissions off-diagonal edges (Santoro-Widmayer style adversaries
-/// [21, 22]). max_omissions = n(n-1) yields all_graphs(n).
+/// [21, 22]), in the same ascending mask order. max_omissions = n(n-1)
+/// yields all_graphs(n). n must be in [1, 6], the limit of the 32-bit
+/// edge masks; std::invalid_argument otherwise. Cost grows with the
+/// output, not with the 2^(n(n-1)) masks.
 std::vector<Digraph> graphs_with_max_omissions(int n, int max_omissions);
 
 /// All *rooted* graphs on [n] (exactly one root component); the per-round

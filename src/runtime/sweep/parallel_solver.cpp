@@ -127,10 +127,28 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     }
     first_item[num_roots] = items.size();
 
-    const auto expand_items = [&](FrontierBudget* budget) {
+    // Pass-1 claim order, root-interleaved: chunk k of every root is
+    // claimed before chunk k + 1 of any root, so the chunks counted when
+    // the budget trips mostly belong to distinct roots and add up in the
+    // lower bound below. Only the claim order changes: expansions stay
+    // indexed by item and merge in (root, chunk) order.
+    std::vector<std::size_t> claim_order;
+    claim_order.reserve(items.size());
+    for (std::size_t k = 0; claim_order.size() < items.size(); ++k) {
+      for (std::size_t r = 0; r < num_roots; ++r) {
+        if (first_item[r] + k < first_item[r + 1]) {
+          claim_order.push_back(first_item[r] + k);
+        }
+      }
+    }
+
+    // Expands every item, claiming them in `order` (empty = item order).
+    const auto expand_items = [&](FrontierBudget* budget,
+                                  const std::vector<std::size_t>& order) {
       std::vector<PendingFrontier> expansions(items.size());
       std::size_t chunks_done = 0;
-      pool.parallel_for(items.size(), [&](std::size_t i) {
+      pool.parallel_for(items.size(), [&](std::size_t j) {
+        const std::size_t i = order.empty() ? j : order[j];
         expansions[i] =
             shards[items[i].root].engine->expand(items[i].chunk, budget);
         if (spill) spill->maybe_spill(expansions[i], items.size());
@@ -144,21 +162,41 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       return expansions;
     };
 
-    // Pass 1: chunked expansion under the shared level budget. When the
-    // budget trips, the level *probably* overflows -- but chunk-local
-    // counts can overcount the merged level (chunks of one root can
-    // discover the same class), so unless pass 1 was already exact (one
-    // chunk per root) the decision is re-derived in an exact pass 2 with
-    // root-granular chunks, whose counts cannot overcount. Both passes
-    // abort early once max_states is provably exceeded, so a doomed
-    // level costs O(max_states), like the serial scan.
+    // Pass 1: chunked expansion under the shared level budget, which
+    // aborts every chunk once the running chunk sum exceeds max_states,
+    // so a doomed level costs O(max_states). The chunk sum may overcount
+    // the merged level (chunks of one root can discover the same class),
+    // but each chunk -- even one that aborted partway -- holds distinct,
+    // genuine classes of its root's next level, and roots never share
+    // classes. So the sum over roots of each root's largest chunk count
+    // is an exact lower bound on the merged level: above max_states it
+    // proves the overflow. Resident counts (stats.pending_states) are
+    // used, since a spilled chunk's rows are on disk.
     FrontierBudget budget(options.max_states);
-    std::vector<PendingFrontier> expansions = expand_items(&budget);
+    std::vector<PendingFrontier> expansions =
+        expand_items(&budget, claim_order);
+    Span budget_span(trace);
     bool tripped = budget.exceeded();
-    for (const PendingFrontier& expansion : expansions) {
-      tripped |= expansion.overflow;
+    std::uint64_t counted = 0;
+    std::uint64_t lower_bound = 0;
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      std::uint64_t largest = 0;
+      for (std::size_t i = first_item[r]; i < first_item[r + 1]; ++i) {
+        tripped |= expansions[i].overflow;
+        counted += expansions[i].stats.pending_states;
+        largest = std::max(largest, expansions[i].stats.pending_states);
+      }
+      lower_bound += largest;
     }
-    if (tripped && items.size() != num_roots) {
+    const bool proven = lower_bound > options.max_states;
+    const std::string_view outcome =
+        !tripped ? "fits" : proven ? "proven" : "retry";
+    if (tripped && !proven) {
+      // Pass 2, the fallback when the bound cannot decide: re-expand in
+      // one chunk per root, whose counts cannot overcount. (With one
+      // chunk per root already, a tripped budget always proves the
+      // overflow, so this never repeats a root-granular pass.)
+      Span retry_span(trace);
       expansions.clear();  // drops any spill tickets: files unlink here
       expansions.shrink_to_fit();
       if (spill) spill->discard_staged();
@@ -170,16 +208,26 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       }
       first_item[num_roots] = num_roots;
       FrontierBudget exact_budget(options.max_states);
-      expansions = expand_items(&exact_budget);
+      expansions = expand_items(&exact_budget, {});
       tripped = exact_budget.exceeded();
       for (const PendingFrontier& expansion : expansions) {
         tripped |= expansion.overflow;
       }
+      retry_span.finish(
+          "budget_retry", "budget",
+          {telemetry::TraceArg::num("level", static_cast<std::uint64_t>(s)),
+           telemetry::TraceArg::num("chunks", items.size())});
     }
+    budget_span.finish(
+        "budget", "budget",
+        {telemetry::TraceArg::num("level", static_cast<std::uint64_t>(s)),
+         telemetry::TraceArg::num("counted", counted),
+         telemetry::TraceArg::num("lower_bound", lower_bound),
+         telemetry::TraceArg::str("outcome", outcome)});
     if (tripped) {
-      // Exact by now: root-granular counts never overcount, so a
-      // tripped budget or an overflowed chunk means the merged level
-      // exceeds max_states -- the serial truncation condition.
+      // Exact by now: either the lower bound proved it, or root-granular
+      // counts (which never overcount) tripped the budget -- the merged
+      // level exceeds max_states, the serial truncation condition.
       // Whether a level's final total exceeds max_states is independent
       // of scheduling, so this single tick is deterministic too.
       if (metrics != nullptr) metrics->add_budget_abort();

@@ -3,12 +3,18 @@
 // plus the grid-expansion helpers behind the scenario catalog.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <climits>
+#include <functional>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "adversary/family.hpp"
 #include "adversary/heard_of.hpp"
 #include "adversary/mobile_failure.hpp"
+#include "graph/enumerate.hpp"
 
 namespace topocon {
 namespace {
@@ -45,6 +51,11 @@ TEST(FamilyValidation, Omission) {
   expect_invalid({"omission", 3, 7},
                  "omission: param must be in [0, 6] (got 7)");
   EXPECT_EQ(make_family_adversary({"omission", 2, 2})->num_processes(), 2);
+  // The alphabet's 32-bit edge masks cover n(n-1) <= 30 positions.
+  expect_invalid({"omission", 7, 0}, "omission: n must be <= 6 (got 7)");
+  expect_invalid({"omission", 9, 0}, "omission: n must be <= 6 (got 9)");
+  EXPECT_EQ(family_param_range("omission", 6).max, 30);
+  EXPECT_EQ(make_family_adversary({"omission", 6, 1})->alphabet_size(), 31);
 }
 
 TEST(FamilyValidation, HeardOf) {
@@ -54,6 +65,7 @@ TEST(FamilyValidation, HeardOf) {
   expect_invalid({"heard_of", 3, 4},
                  "heard_of: param must be in [1, 3] (got 4)");
   EXPECT_EQ(make_family_adversary({"heard_of", 2, 1})->num_processes(), 2);
+  expect_invalid({"heard_of", 5, 4}, "heard_of: n must be <= 4 (got 5)");
 }
 
 TEST(FamilyValidation, HeardOfRounds) {
@@ -196,6 +208,7 @@ TEST(FamilyValidation, Vssc) {
   expect_invalid({"vssc", 1, 1}, "vssc: n must be >= 2 (got 1)");
   expect_invalid({"vssc", 2, 0}, "vssc: param must be in [1, inf] (got 0)");
   EXPECT_EQ(make_family_adversary({"vssc", 2, 1})->num_processes(), 2);
+  expect_invalid({"vssc", 5, 1}, "vssc: n must be <= 4 (got 5)");
 }
 
 TEST(FamilyValidation, FiniteLoss) {
@@ -205,6 +218,74 @@ TEST(FamilyValidation, FiniteLoss) {
                  "finite_loss: param must be in [0, 0] (got 1)");
   EXPECT_EQ(make_family_adversary({"finite_loss", 2, 0})->num_processes(),
             2);
+  expect_invalid({"finite_loss", 5, 0},
+                 "finite_loss: n must be <= 4 (got 5)");
+}
+
+// ---- Graph enumerators behind the families ---------------------------------
+
+void expect_enumerator_error(const std::function<void()>& call,
+                             const std::string& message) {
+  try {
+    call();
+    FAIL() << "did not throw: " << message;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), message);
+  }
+}
+
+TEST(GraphEnumerators, RejectUnrepresentableProcessCounts) {
+  expect_enumerator_error([] { graphs_with_max_omissions(7, 0); },
+                          "graphs_with_max_omissions: n must be in [1, 6] "
+                          "(got 7)");
+  expect_enumerator_error([] { graphs_with_max_omissions(0, 0); },
+                          "graphs_with_max_omissions: n must be in [1, 6] "
+                          "(got 0)");
+  expect_enumerator_error([] { all_graphs(5); },
+                          "all_graphs: n must be in [1, 4] (got 5)");
+}
+
+TEST(GraphEnumerators, OmissionGraphsCountedWithoutScanningEveryMask) {
+  // 1 + C(20, 1) + C(20, 2) graphs at n = 5, f = 2.
+  EXPECT_EQ(graphs_with_max_omissions(5, 2).size(), 211u);
+  // n = 6 has 2^30 masks; f = 1 must cost 31 graphs, not a full scan.
+  const std::vector<Digraph> six = graphs_with_max_omissions(6, 1);
+  ASSERT_EQ(six.size(), 31u);
+  EXPECT_EQ(six.back(), Digraph::complete(6));
+  EXPECT_TRUE(graphs_with_max_omissions(3, -1).empty());
+}
+
+// The letter order of every omission adversary (and so of every golden)
+// is the ascending edge-mask order of a plain scan over all masks.
+TEST(GraphEnumerators, OmissionGraphsKeepTheMaskScanOrder) {
+  const auto scan = [](int n, int max_omissions) {
+    const int positions = n * (n - 1);
+    std::vector<Digraph> graphs;
+    for (std::uint32_t mask = 0; mask < (1u << positions); ++mask) {
+      if (positions - std::popcount(mask) > max_omissions) continue;
+      Digraph g(n);
+      int bit = 0;
+      for (int p = 0; p < n; ++p) {
+        for (int q = 0; q < n; ++q) {
+          if (p == q) continue;
+          if ((mask >> bit) & 1u) g.add_edge(p, q);
+          ++bit;
+        }
+      }
+      graphs.push_back(g);
+    }
+    return graphs;
+  };
+  for (int n = 1; n <= 4; ++n) {
+    for (int f = 0; f <= n * (n - 1); ++f) {
+      EXPECT_EQ(graphs_with_max_omissions(n, f), scan(n, f))
+          << "n=" << n << " f=" << f;
+    }
+  }
+  for (const int f : {0, 1, 2, 3, 20}) {
+    EXPECT_EQ(graphs_with_max_omissions(5, f), scan(5, f)) << "n=5 f=" << f;
+  }
+  EXPECT_EQ(all_graphs(3), graphs_with_max_omissions(3, 6));
 }
 
 TEST(FamilyValidation, ComposedSpecGrammarErrors) {
@@ -315,8 +396,8 @@ TEST(FamilyGrid, RejectsAbsurdIntervalsBeforeAllocating) {
                std::invalid_argument);
   EXPECT_THROW(family_grid("omission", 3, -2'000'000'000, 2'000'000'000),
                std::invalid_argument);
-  // n*(n-1) saturates instead of overflowing int.
-  EXPECT_EQ(family_param_range("omission", 65536).max, INT_MAX);
+  // An absurd n is rejected before n*(n-1) is ever formed.
+  EXPECT_THROW(family_param_range("omission", 65536), std::invalid_argument);
 }
 
 TEST(FamilyGrid, TerminatesWithIntMaxUpperBound) {

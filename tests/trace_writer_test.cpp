@@ -1,8 +1,9 @@
 // The Chrome-trace span writer: the emitted document is well-formed JSON
 // (parsed back with the repo's own strict reader), events carry the
 // Trace Event Format fields chrome://tracing requires, string escaping
-// is safe, threads get stable small tids, and a traced Session run
-// produces properly nested job > depth > level > chunk spans.
+// is safe, threads get stable small tids, a traced Session run
+// produces properly nested job > depth > level > chunk spans, and each
+// level's budget decision is one span that holds its retry pass.
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -13,9 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/omission.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/json.hpp"
+#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace topocon {
@@ -180,6 +185,80 @@ TEST(TraceWriter, SessionRunEmitsNestedSpans) {
     EXPECT_EQ(chunk.name, "chunk");
     EXPECT_TRUE(contained_in_any(chunk, by_category["level"])) << chunk.ts;
   }
+  // Every committed level decided its budget inside its own span.
+  ASSERT_EQ(by_category["budget"].size(), by_category["level"].size());
+  for (const Span& budget : by_category["budget"]) {
+    EXPECT_EQ(budget.name, "budget");
+    EXPECT_TRUE(contained_in_any(budget, by_category["level"])) << budget.ts;
+  }
+}
+
+/// The "budget"-category spans of a traced parallel check, with the
+/// outcome argument of each "budget" span.
+struct BudgetSpans {
+  std::vector<Span> decisions;
+  std::vector<std::string> outcomes;
+  std::vector<Span> retries;
+  std::vector<Span> depths;
+};
+
+BudgetSpans traced_budget_check(std::size_t chunk_states) {
+  // omission(3,2): level 1 has 176 classes, level 2 has 3872, so a
+  // 176-state budget first overflows at depth 2, level 2. At chunk 1 the
+  // per-root bound (each root's largest one-parent chunk) cannot prove
+  // that; with one chunk per root it always can.
+  std::ostringstream out;
+  {
+    TraceWriter writer(out);
+    telemetry::MetricsRegistry registry(&writer);
+    SolvabilityOptions options;
+    options.max_depth = 2;
+    options.max_states = 176;
+    options.build_table = false;
+    options.metrics = &registry;
+    sweep::ThreadPool pool(1);
+    sweep::ShardingOptions sharding;
+    sharding.chunk_states = chunk_states;
+    const auto adversary = make_omission_adversary(3, 2);
+    const SolvabilityResult result = sweep::parallel_check_solvability(
+        *adversary, options, pool, {}, sharding);
+    EXPECT_EQ(result.verdict, SolvabilityVerdict::kResourceLimit);
+  }
+  BudgetSpans spans;
+  for (const sweep::JsonValue& event :
+       sweep::JsonReader::parse(out.str()).elements) {
+    if (event.at("ph").as_string() != "X") continue;
+    const Span span{event.at("name").as_string(), event.at("cat").as_string(),
+                    event.at("ts").as_uint(), event.at("dur").as_uint()};
+    if (span.category == "depth") spans.depths.push_back(span);
+    if (span.category != "budget") continue;
+    if (span.name == "budget_retry") {
+      spans.retries.push_back(span);
+      continue;
+    }
+    const sweep::JsonValue& args = event.at("args");
+    EXPECT_LE(args.at("lower_bound").as_uint(), args.at("counted").as_uint());
+    spans.decisions.push_back(span);
+    spans.outcomes.push_back(args.at("outcome").as_string());
+  }
+  return spans;
+}
+
+TEST(TraceWriter, BudgetSpansNestTheRetryInsideTheDecision) {
+  // Depth 1 (one level) fits; depth 2 fits level 1, then decides level 2.
+  const BudgetSpans retried = traced_budget_check(1);
+  EXPECT_EQ(retried.outcomes,
+            (std::vector<std::string>{"fits", "fits", "retry"}));
+  ASSERT_EQ(retried.retries.size(), 1u);
+  EXPECT_TRUE(retried.decisions.back().contains(retried.retries[0]));
+  for (const Span& decision : retried.decisions) {
+    EXPECT_TRUE(contained_in_any(decision, retried.depths)) << decision.ts;
+  }
+
+  const BudgetSpans proven = traced_budget_check(0);
+  EXPECT_EQ(proven.outcomes,
+            (std::vector<std::string>{"fits", "fits", "proven"}));
+  EXPECT_TRUE(proven.retries.empty());
 }
 
 }  // namespace
