@@ -8,7 +8,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "core/spill.hpp"
 #include "ptg/reach.hpp"
 #include "telemetry/trace.hpp"
 
@@ -170,14 +169,6 @@ const char* to_string(FrontierMode mode) {
       return "dense";
   }
   return "?";
-}
-
-std::uint64_t PendingFrontier::approx_bytes() const {
-  return rows.size() * sizeof(std::uint32_t) +
-         multiplicity.size() * sizeof(std::uint64_t) + views.approx_bytes() +
-         state_index.approx_bytes() +
-         children.offsets.size() * sizeof(std::size_t) +
-         children.targets.size() * sizeof(int);
 }
 
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
@@ -800,7 +791,6 @@ PendingFrontier FrontierEngine::merge(
   // The first chunk's classes and views are distinct and come first in
   // merged order, so it IS the start of the merged level: adopt it (its
   // parent indexing is already the frontier's) and fold the rest in.
-  if (chunks.front().spilled != nullptr) restore_spilled(chunks.front());
   PendingFrontier level = std::move(chunks.front());
   level.chunk = FrontierChunk{0, frontier().size()};
   if (chunks.size() == 1) return level;
@@ -815,10 +805,6 @@ PendingFrontier FrontierEngine::merge(
   std::vector<int> state_remap;
   std::vector<std::uint32_t> state_key;
   for (PendingFrontier& chunk : std::span(chunks).subspan(1)) {
-    // Spilled chunks come back one at a time, right before they fold
-    // in, so at most one restored chunk is resident besides the merged
-    // level -- that bound is the spill tier's whole point.
-    if (chunk.spilled != nullptr) restore_spilled(chunk);
     level.stats.add(chunk.stats);
     // Re-key the chunk's distinct views in the merged view table (one
     // long-key lookup per distinct view, not per state). Every chunk of
@@ -880,8 +866,7 @@ PendingFrontier FrontierEngine::merge(
         level.children.offsets.push_back(level.children.targets.size());
       }
     }
-    // Fully folded in: release the chunk (and, for restored chunks, keep
-    // the resident set at merged + one chunk instead of merged + all).
+    // Fully folded in: release the chunk.
     chunk = PendingFrontier{};
   }
   // Fix up the summed chunk stats for the cross-chunk dedup this merge
@@ -898,7 +883,6 @@ PendingFrontier FrontierEngine::merge(
 
 void FrontierEngine::commit(PendingFrontier level) {
   assert(!level.overflow && "commit of an overflowed level");
-  if (level.spilled != nullptr) restore_spilled(level);
   // The codec of the level being committed: derived BEFORE any interner
   // mutation below, so it matches what expand()/merge() used.
   const KeyCodec codec = level_codec();

@@ -81,10 +81,10 @@ const char* to_string(FrontierMode mode);
 /// packed LSB-first into little-endian uint32 words; packing is
 /// injective, so dedup equality classes -- and with them every result
 /// byte -- are exactly those of the unpacked keys, while the
-/// WordSeqIndex pools (and the spill records built from them) shrink by
-/// the ratio of the summed bit widths to full words. Every chunk of one
-/// level uses the same widths, so merge() can re-intern chunk view keys
-/// byte-for-byte and only state keys need field-level remapping.
+/// WordSeqIndex pools shrink by the ratio of the summed bit widths to
+/// full words. Every chunk of one level uses the same widths, so merge()
+/// can re-intern chunk view keys byte-for-byte and only state keys need
+/// field-level remapping.
 struct KeyCodec {
   std::uint32_t q_bits = 0;       ///< receiver process, < n
   std::uint32_t mask_bits = 0;    ///< round in-mask, n bits
@@ -145,8 +145,7 @@ class WordSeqIndex {
   int append_new(const std::uint32_t* words, std::size_t count);
 
   /// Rebuilds the probe table from the entries, so a table frozen by
-  /// append_new() (or restored from a spill file) accepts intern() again.
-  /// Ids are unchanged.
+  /// append_new() accepts intern() again. Ids are unchanged.
   void reindex();
 
   std::size_t size() const { return entries_.size(); }
@@ -158,18 +157,8 @@ class WordSeqIndex {
   std::size_t count_of(int index) const {
     return entries_[static_cast<std::size_t>(index)].count;
   }
-  /// Rough resident footprint in bytes (pool + entries + probe table),
-  /// an input of the spill policy (core/spill.*).
-  std::uint64_t approx_bytes() const {
-    return pool_.size() * sizeof(std::uint32_t) +
-           entries_.size() * sizeof(Entry) + slots_.size() * sizeof(int);
-  }
 
  private:
-  /// The spill tier serializes pool_ + entries_ directly and restores
-  /// tables without the probe table (read-only, like after append_new).
-  friend class FrontierSpill;
-
   /// 16 bytes: the low 32 hash bits suffice to place an entry in any
   /// probe table this process can allocate and to reject most unequal
   /// keys before the word comparison.
@@ -201,8 +190,6 @@ class WordSeqIndex {
 /// `views` (via the state keys), whose key words are [process, mask,
 /// senders...] with sender ids referring to the PARENT level's interned
 /// views.
-class SpillTicket;
-
 struct PendingFrontier {
   FrontierChunk chunk;
   int n = 0;
@@ -224,11 +211,6 @@ struct PendingFrontier {
   /// AnalysisOptions::metrics only at commit() so truncated levels never
   /// contribute (the determinism contract in telemetry/metrics.hpp).
   telemetry::PendingStats stats;
-  /// Non-null iff rows/views/state_index/children currently live in a
-  /// spill file instead of memory (core/spill.*); chunk, overflow, and
-  /// stats stay resident so budget scans and stat sums never touch disk.
-  /// merge() restores spilled slices one at a time, in chunk order.
-  std::shared_ptr<SpillTicket> spilled;
 
   static std::size_t stride_for(int processes) {
     return static_cast<std::size_t>(processes) + 3;
@@ -238,10 +220,6 @@ struct PendingFrontier {
   const std::uint32_t* row(std::size_t i) const {
     return rows.data() + i * stride();
   }
-
-  /// Rough resident footprint in bytes of the spillable payload, the
-  /// quantity the spill policy compares against its budget.
-  std::uint64_t approx_bytes() const;
 };
 
 /// Shared early-abort accumulator for one level's concurrent chunk

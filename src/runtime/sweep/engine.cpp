@@ -274,7 +274,6 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       SolvabilityOptions solve = job.solve;
       if (job.kind == JobKind::kDecisionTable) solve.build_table = true;
       if (registry.has_value()) solve.metrics = &*registry;
-      if (hooks.spill.has_value()) solve.spill = *hooks.spill;
       outcome.result = parallel_check_solvability(*adversary, solve, pool,
                                                   on_depth, sharding);
     } else {
@@ -284,7 +283,6 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
         per_depth.depth = depth;
         per_depth.keep_levels = false;
         if (registry.has_value()) per_depth.metrics = &*registry;
-        if (hooks.spill.has_value()) per_depth.spill = *hooks.spill;
         const DepthAnalysis analysis = parallel_analyze_depth(
             *adversary, per_depth, pool, interner, sharding);
         if (analysis.truncated) break;

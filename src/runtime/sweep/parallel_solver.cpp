@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/spill.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -77,13 +76,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
   const std::size_t chunk_states = sharding.chunk_states > 0
                                        ? sharding.chunk_states
                                        : default_chunk_states();
-  // Out-of-core tier (core/spill.*): expansions exceeding their fair
-  // share of the budget go to temp files between expand and merge. Like
-  // the chunk size, never observable in any result byte.
-  const SpillOptions spill_options = resolve_spill(options.spill);
-  std::optional<FrontierSpill> spill;
-  if (spill_options.budget_bytes > 0) spill.emplace(spill_options);
-
   const auto num_roots = static_cast<std::size_t>(
       all_input_vectors(n, options.num_values).size());
 
@@ -151,7 +143,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
         const std::size_t i = order.empty() ? j : order[j];
         expansions[i] =
             shards[items[i].root].engine->expand(items[i].chunk, budget);
-        if (spill) spill->maybe_spill(expansions[i], items.size());
         if (sharding.on_chunk) {
           const std::lock_guard<std::mutex> lock(progress_mutex);
           ++chunks_done;
@@ -170,8 +161,7 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     // genuine classes of its root's next level, and roots never share
     // classes. So the sum over roots of each root's largest chunk count
     // is an exact lower bound on the merged level: above max_states it
-    // proves the overflow. Resident counts (stats.pending_states) are
-    // used, since a spilled chunk's rows are on disk.
+    // proves the overflow.
     FrontierBudget budget(options.max_states);
     std::vector<PendingFrontier> expansions =
         expand_items(&budget, claim_order);
@@ -197,9 +187,8 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       // chunk per root already, a tripped budget always proves the
       // overflow, so this never repeats a root-granular pass.)
       Span retry_span(trace);
-      expansions.clear();  // drops any spill tickets: files unlink here
+      expansions.clear();
       expansions.shrink_to_fit();
-      if (spill) spill->discard_staged();
       items.clear();
       for (std::size_t r = 0; r < num_roots; ++r) {
         first_item[r] = r;
@@ -232,7 +221,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
       // of scheduling, so this single tick is deterministic too.
       if (metrics != nullptr) metrics->add_budget_abort();
       analysis.truncated = true;
-      if (spill) spill->discard_staged();
       pool.parallel_for(num_roots, [&](std::size_t r) {
         shards[r].engine->mark_truncated();
       });
@@ -269,7 +257,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     if (overflow || total > options.max_states) {
       if (metrics != nullptr) metrics->add_budget_abort();
       analysis.truncated = true;
-      if (spill) spill->discard_staged();
       pool.parallel_for(num_roots, [&](std::size_t r) {
         shards[r].engine->mark_truncated();
       });
@@ -285,7 +272,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
                    telemetry::TraceArg::num(
                        "states", shards[r].engine->frontier().size())});
     });
-    if (spill) spill->commit_level();
     if (metrics != nullptr) {
       // frontier_states is the size of the level just expanded (s - 1),
       // total the size of the level just committed; together the two
@@ -417,16 +403,6 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
                    {depth_arg,
                     telemetry::TraceArg::num(
                         "leaves", analysis.levels.back().size())});
-
-  if (metrics != nullptr && spill) {
-    const FrontierSpill::Stats totals = spill->stats();
-    telemetry::SpillStats flushed;
-    flushed.chunks_spilled = totals.chunks_spilled;
-    flushed.bytes_written = totals.bytes_written;
-    flushed.bytes_replayed = totals.bytes_replayed;
-    flushed.replay_passes = totals.replay_passes;
-    metrics->add_spill(flushed);
-  }
 
   Span components_span(trace);
   compute_components(

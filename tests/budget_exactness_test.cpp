@@ -6,8 +6,8 @@
 // must match the reference scan: the truncated analysis field for field,
 // the SolvabilityResult, and commit-only telemetry with exactly one
 // budget_early_aborts tick per truncated level, at threads {1, 2, 8} x
-// chunk {1, 64, default}, and once more under a forced 1-byte spill
-// budget. Per-chunk progress shows which levels ran the retry pass.
+// chunk {1, 64, default}. Per-chunk progress shows which levels ran the
+// retry pass.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -133,11 +133,9 @@ void expect_same_result(const SolvabilityResult& expected,
 /// reference scan, the serial checker, and the budget decision it must
 /// have taken.
 void expect_budget_exact(const MessageAdversary& adversary, int level,
-                         const std::string& label,
-                         std::uint64_t spill_budget_bytes = 0,
-                         const std::vector<int>& thread_counts = {1, 2, 8},
-                         const std::vector<std::size_t>& chunks = {1, 64,
-                                                                   0}) {
+                         const std::string& label) {
+  const std::vector<int> thread_counts = {1, 2, 8};
+  const std::vector<std::size_t> chunks = {1, 64, 0};
   std::map<std::size_t, LevelFacts> facts_of;
   std::set<std::uint64_t> budgets;
   for (const std::size_t chunk : chunks) {
@@ -167,7 +165,6 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
     AnalysisOptions options;
     options.depth = level;
     options.max_states = budget;
-    options.spill.budget_bytes = spill_budget_bytes;
     const bool overflows = budget < merged;
     const DepthAnalysis oracle = analyze_depth_oracle(adversary, options);
     ASSERT_EQ(oracle.truncated, overflows) << label;
@@ -176,7 +173,6 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
     solve.max_depth = level;
     solve.max_states = budget;
     solve.build_table = false;
-    solve.spill.budget_bytes = spill_budget_bytes;
     const SolvabilityResult reference =
         check_solvability_oracle(adversary, solve);
     expect_same_result(reference, check_solvability(adversary, solve),
@@ -298,15 +294,6 @@ TEST(BudgetExactness, ComposedFuzzPoints) {
     if (++checked == 3) break;
   }
   EXPECT_EQ(checked, 3);
-}
-
-TEST(BudgetExactness, ForcedSpillKeepsTheDecisionExact) {
-  // Spilled chunks keep only their resident counts in memory; the bound
-  // must read those, not the (cleared) payload sizes. (Chunk 1 would
-  // write one file per parent.)
-  const auto ma = make_omission_adversary(3, 1);
-  expect_budget_exact(*ma, 4, "omission(3,1) spilled",
-                      /*spill_budget_bytes=*/1, {1, 8}, {64, 0});
 }
 
 }  // namespace

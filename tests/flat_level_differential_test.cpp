@@ -6,8 +6,7 @@
 // at every thread count, chunk size, and keep_levels setting. View ids
 // are compared up to one consistent relabeling (the oracle interns level
 // by level, the parallel merge root by root); the parallel interner's own
-// id assignment order must be identical across every configuration,
-// including a forced-spill budget.
+// id assignment order must be identical across every configuration.
 #include <algorithm>
 #include <cstddef>
 #include <optional>
@@ -112,24 +111,6 @@ TEST(FlatLevelDifferential, TruncatedLevelMatchesOracle) {
   options.depth = 3;
   options.max_states = 1000;
   expect_parallel_matches_oracle(*ma, options, "omission(3,2) truncated");
-}
-
-TEST(FlatLevelDifferential, ForcedSpillKeepsEveryFieldAndId) {
-  const auto ma = make_omission_adversary(4, 2);
-  AnalysisOptions options;
-  options.depth = 2;
-  sweep::ThreadPool pool(4);
-  sweep::ShardingOptions sharding;
-  sharding.chunk_states = 64;
-  const DepthAnalysis in_ram =
-      sweep::parallel_analyze_depth(*ma, options, pool, nullptr, sharding);
-  AnalysisOptions spilled_options = options;
-  spilled_options.spill.budget_bytes = 1;  // every chunk goes to disk
-  const DepthAnalysis spilled = sweep::parallel_analyze_depth(
-      *ma, spilled_options, pool, nullptr, sharding);
-  expect_analyses_identical(in_ram, spilled, "spill vs in-RAM");
-  expect_same_interner_order(*in_ram.interner, *spilled.interner,
-                             "spill vs in-RAM");
 }
 
 }  // namespace
