@@ -19,7 +19,7 @@
 #include "core/solvability.hpp"
 #include "runtime/flood_min.hpp"
 #include "runtime/simulator.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 #include "runtime/verify.hpp"
 
 namespace {
@@ -117,29 +117,11 @@ void BM_CheckOmission(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckOmission)->Args({2, 0})->Args({2, 1})->Args({3, 1})->Args({3, 2});
 
-// Same check through the sharded engine; compare against BM_CheckOmission
-// for the intra-job speedup at --sweep-threads.
-void BM_ParallelCheckOmission(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int f = static_cast<int>(state.range(1));
-  const auto ma = make_omission_adversary(n, f);
-  SolvabilityOptions options;
-  options.max_depth = n == 2 ? 5 : 2;
-  options.max_states = 6'000'000;
-  options.build_table = false;
-  sweep::ThreadPool pool(sweep::default_num_threads());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sweep::parallel_check_solvability(*ma, options, pool));
-  }
-  set_peak_rss_counter(state);
-}
-BENCHMARK(BM_ParallelCheckOmission)->Args({3, 1})->Args({3, 2});
-
-// The same check with sub-root sharding forced to `chunk` states per
-// expansion chunk (0 = the process default): measures the frontier
-// engine's chunking overhead at one lane and its load-balance win at
-// --sweep-threads > 1. Results are identical for every chunk size.
+// The same check on a --sweep-threads pool with sub-root sharding forced
+// to `chunk` states per expansion chunk (4096 is the default): measures
+// the frontier engine's chunking overhead at one lane and its
+// load-balance win at --sweep-threads > 1. Results are identical for
+// every chunk size.
 void BM_ChunkedCheckOmission(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int f = static_cast<int>(state.range(1));
@@ -150,18 +132,18 @@ void BM_ChunkedCheckOmission(benchmark::State& state) {
   options.max_states = 6'000'000;
   options.build_table = false;
   sweep::ThreadPool pool(sweep::default_num_threads());
-  sweep::ShardingOptions sharding;
-  sharding.chunk_states = chunk;
+  ExecutionOptions execution;
+  execution.parallel_for = sweep::parallel_for_of(pool);
+  execution.chunk_states = chunk;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding));
+    benchmark::DoNotOptimize(check_solvability(*ma, options, execution));
   }
   set_peak_rss_counter(state);
 }
 BENCHMARK(BM_ChunkedCheckOmission)
     ->Args({3, 2, 64})
     ->Args({3, 2, 1024})
-    ->Args({3, 2, 0});
+    ->Args({3, 2, 4096});
 
 void BM_FloodMinRound(benchmark::State& state) {
   const int n = 3;

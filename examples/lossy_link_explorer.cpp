@@ -25,7 +25,7 @@
 #include "core/obstruction.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/cli.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace topocon;
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   AnalysisOptions options;
   options.depth = depth;
   const DepthAnalysis analysis =
-      sweep::parallel_analyze_depth(*ma, options, session.pool());
+      analyze_depth(*ma, options, nullptr,
+                    {.parallel_for = sweep::parallel_for_of(session.pool())});
   std::cout << "Depth-" << depth << " epsilon-approximation: "
             << analysis.leaves().size() << " leaf classes, "
             << analysis.components.size() << " components, separated: "

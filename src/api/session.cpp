@@ -58,7 +58,7 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   }
 
   std::vector<sweep::JobOutcome> outcomes =
-      sweep::run_sweep_on(spec, pool_, hooks);
+      sweep::run_sweep_on(spec, pool_, hooks, options_.execution);
 
   std::vector<sweep::JobRecord> records;
   records.reserve(outcomes.size());

@@ -71,6 +71,11 @@ struct SessionOptions {
   /// (telemetry/trace.hpp); must outlive the Session. Non-null implies
   /// collect_telemetry. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;
+  /// Chunk size and frontier mode of every job (`topocon --chunk`,
+  /// `--frontier`). Results never depend on them. Each job runs on the
+  /// session pool and streams its chunks to the Observer, so the engine
+  /// replaces `parallel_for` and `on_chunk` (sweep::run_sweep_on).
+  ExecutionOptions execution = {};
 };
 
 /// Streaming view of a running Session (see the header comment).
@@ -118,10 +123,10 @@ class Session {
   int num_threads() const { return pool_.num_threads(); }
 
   /// The session's pool, for interop with the engine primitives
-  /// (parallel_analyze_depth and friends) when a front end needs raw
-  /// DepthAnalysis objects beyond what queries record. Do not destroy or
-  /// detach it; do not call run() while a borrowed reference is mid-use
-  /// on another thread.
+  /// (analyze_depth with sweep::parallel_for_of(pool()), and friends)
+  /// when a front end needs raw DepthAnalysis objects beyond what
+  /// queries record. Do not destroy or detach it; do not call run()
+  /// while a borrowed reference is mid-use on another thread.
   sweep::ThreadPool& pool() { return pool_; }
 
   /// Runs the queries on the session pool; outcomes are indexed like

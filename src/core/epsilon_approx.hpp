@@ -63,15 +63,12 @@ class MetricsRegistry;
 enum class AdjacencyTopology { kMin, kPView };
 
 /// Pending-level dedup representation of the frontier engine
-/// (core/frontier.hpp). An execution detail exactly like keep_levels and
-/// the chunk size: it is never serialized into query JSON and can never
-/// change any result byte -- forced dense, forced sparse, and the
-/// per-chunk heuristic all produce bit-identical analyses (enforced by
+/// (core/frontier.hpp). An execution detail exactly like the chunk size:
+/// it is never serialized into query JSON and can never change any result
+/// byte -- forced dense, forced sparse, and the per-chunk heuristic all
+/// produce bit-identical analyses (enforced by
 /// tests/frontier_mode_test.cpp and the --frontier golden lanes).
 enum class FrontierMode {
-  /// Resolve to the process-wide default (set_default_frontier_mode in
-  /// core/frontier.hpp; kAuto unless the CLI overrode it).
-  kDefault,
   /// Per-chunk GBBS-style heuristic: direct-indexed tables when the
   /// enumerable key space is small relative to the chunk's emissions,
   /// open-addressed hashing otherwise.
@@ -97,12 +94,9 @@ struct AnalysisOptions {
   AdjacencyTopology topology = AdjacencyTopology::kMin;
   /// Process set P for kPView (bitmask; must be nonzero in that mode).
   NodeMask pview_set = 0;
-  /// Pending-level dedup representation; like keep_levels an execution
-  /// detail that is never serialized and never changes a result byte.
-  FrontierMode frontier = FrontierMode::kDefault;
   /// Optional per-job telemetry sink (telemetry/metrics.hpp). An
-  /// execution detail like `frontier`: never serialized, never changes a
-  /// result byte; null disables all collection at zero hot-path cost.
+  /// execution detail: never serialized, never changes a result byte;
+  /// null disables all collection at zero hot-path cost.
   telemetry::MetricsRegistry* metrics = nullptr;
 };
 
@@ -308,20 +302,101 @@ struct DepthAnalysis {
   const FlatLevel& leaves() const { return levels.back(); }
 };
 
-/// Runs the depth-t analysis. If `interner` is null a fresh one is created;
-/// passing one allows sharing ids across depths and with simulations.
+/// Runs body(0), ..., body(count - 1), possibly concurrently; returns
+/// once all calls finished. Lets core algorithms run on a caller's
+/// thread pool without depending on the runtime layer.
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& body)>;
+
+/// Streaming progress of a chunked expansion: fired once per completed
+/// chunk of the level currently being expanded. Purely observational --
+/// results never depend on it -- and the completion ORDER of chunks is
+/// thread-count-dependent; consumers may rely only on the counters.
+struct ChunkProgress {
+  /// Target depth of the analysis pass this level belongs to.
+  int depth = 0;
+  /// Level being expanded (1..depth).
+  int level = 0;
+  std::size_t chunks_done = 0;
+  std::size_t chunks_total = 0;
+  /// Total states of the frontier being expanded (all roots).
+  std::size_t frontier_states = 0;
+};
+using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
+
+/// How analyze_depth() executes. Like the thread count, none of these can
+/// change a result, a verdict, or a byte of serialized output; they are
+/// never serialized.
+struct ExecutionOptions {
+  /// Runs the per-root and per-chunk loops; null runs them inline on the
+  /// calling thread.
+  ParallelFor parallel_for = nullptr;
+  /// Maximum frontier states per expansion chunk: a heavy root splits
+  /// into ceil(frontier / chunk_states) chunks per level. 1 is the finest
+  /// sharding (one chunk per state); 0 gives every root one chunk.
+  std::size_t chunk_states = 4096;
+  /// Pending-level dedup representation of every chunk expansion.
+  FrontierMode frontier = FrontierMode::kAuto;
+  /// Called once per completed chunk, under an internal mutex and
+  /// possibly from parallel_for's threads. Purely observational.
+  ChunkProgressFn on_chunk = nullptr;
+};
+
+/// Runs the depth-t analysis. If `interner` is null a fresh one is
+/// created; passing one allows sharing ids across depths and with
+/// simulations.
+///
+/// Work splits two ways. The prefix space splits exactly into one
+/// independent subtree per input vector ("root": the dedup key contains
+/// every view and views contain their own inputs, so classes of different
+/// input vectors never merge); each root is one FrontierEngine with a
+/// private ViewInterner. Below the root, every BFS level is cut into
+/// chunks of at most `execution.chunk_states` frontier states
+/// (FrontierEngine::partition), and the (root, chunk) work items of one
+/// level run through `execution.parallel_for` -- so a single heavy root
+/// does not serialize a level: its chunks spread over all threads. Chunk
+/// expansion is interner-free (pending views, see core/frontier.hpp),
+/// which makes concurrent chunks of ONE root safe without locking.
+///
+/// Determinism: chunk ids follow frontier order, and every level is
+/// merged in (root, chunk) order -- first discovery wins, multiplicities
+/// sum -- before the pending views are interned in merged order. After
+/// the last level, absorb() folds the root interners into the shared one
+/// serially in root order, then every root copies its flat rows (view ids
+/// remapped), links, and multiplicities in parallel into merged levels
+/// preallocated from per-root offset prefix sums, and frees its engine.
+/// The analysis -- levels, links, multiplicities, truncation, components,
+/// and the shared interner's id assignment order -- is therefore the same
+/// for every chunk size, frontier mode, and thread count, and equals
+/// analyze_depth_oracle() below up to a consistent relabeling of view ids.
+///
+/// Truncation: a level overflows iff its merged size exceeds max_states.
+/// Each level is first expanded under a shared FrontierBudget; the sum
+/// over roots of each root's largest chunk is a lower bound on the merged
+/// size, and when that bound cannot decide a tripped budget the level is
+/// re-expanded with one chunk per root. The decision comes before any
+/// interner mutation (merge is separate from commit for this), so an
+/// overflowing level leaves every interner as if it had never been
+/// attempted.
+///
+/// Tracing (options.metrics): every level, budget decision, per-root
+/// merge and commit, the root merge (absorb, then copy/remap), and
+/// components get their own span.
 DepthAnalysis analyze_depth(const MessageAdversary& adversary,
                             const AnalysisOptions& options,
-                            std::shared_ptr<ViewInterner> interner = nullptr);
+                            std::shared_ptr<ViewInterner> interner = nullptr,
+                            const ExecutionOptions& execution = {});
 
 /// REFERENCE implementation of analyze_depth(): the identical analysis
 /// driven by the single-scan initial_frontier()/expand_frontier() calls
-/// below instead of the chunked FrontierEngine. Every field of the
+/// below instead of the chunked FrontierEngine. It interns level by level
+/// across all roots where analyze_depth() interns root by root, so view
+/// ids agree up to one consistent relabeling; every other field of the
 /// result -- levels, links, multiplicities, truncation, components, and
-/// the interner's id assignment order -- must be bit-identical to
-/// analyze_depth() at every chunk size and thread count; the fuzz
-/// differential harness (tests/fuzz_differential_test.cpp, `topocon
-/// fuzz`) asserts exactly that on randomly composed adversaries.
+/// the interner's size -- must be identical to analyze_depth() at every
+/// chunk size and thread count; the fuzz differential harness
+/// (tests/fuzz_differential_test.cpp, `topocon fuzz`) asserts exactly
+/// that on randomly composed adversaries.
 DepthAnalysis analyze_depth_oracle(
     const MessageAdversary& adversary, const AnalysisOptions& options,
     std::shared_ptr<ViewInterner> interner = nullptr);
@@ -330,17 +405,11 @@ DepthAnalysis analyze_depth_oracle(
 //
 // The BFS over the admissible-prefix space, exposed level by level. The
 // production expansion path is the chunked FrontierEngine in
-// core/frontier.hpp -- analyze_depth() above drives one engine serially,
-// the parallel sweep engine (runtime/sweep/parallel_solver.*) drives one
-// engine per root with sub-root chunk sharding. A key structural fact
-// makes root sharding exact: the dedup key contains all views, every view
-// contains its own input, so classes of *different* input vectors never
-// merge -- the prefix space is the disjoint union of one subtree per
-// input vector ("root"), and each subtree can be expanded independently
-// with a private interner. The calls below remain as the single-scan
-// REFERENCE expansion: a direct transcription of the serial BFS step that
-// the frontier engine must reproduce state for state (enforced by
-// tests/frontier_engine_test.cpp).
+// core/frontier.hpp, which analyze_depth() above drives one engine per
+// root with sub-root chunk sharding. The calls below remain as the
+// single-scan REFERENCE expansion: a direct transcription of the serial
+// BFS step that the frontier engine must reproduce state for state
+// (enforced by tests/frontier_engine_test.cpp).
 
 /// One expanded BFS level: the deduplicated child classes plus the tree
 /// links back into the parent level.
@@ -367,12 +436,6 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
                               ViewInterner& interner,
                               const std::vector<PrefixState>& current,
                               std::size_t max_states, bool keep_links);
-
-/// Runs body(0), ..., body(count - 1), possibly concurrently; returns
-/// once all calls finished. Lets core algorithms run on a caller's
-/// thread pool without depending on the runtime layer.
-using ParallelFor = std::function<void(
-    std::size_t count, const std::function<void(std::size_t)>& body)>;
 
 /// Builds leaf_component, components, and the separation/broadcastability
 /// flags from analysis.levels.back(); requires num_processes, num_values,

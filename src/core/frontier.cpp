@@ -93,9 +93,6 @@ class ScratchMap {
   std::vector<std::int32_t> vals_;
 };
 
-std::atomic<int> g_default_frontier_mode{
-    static_cast<int>(FrontierMode::kAuto)};
-
 }  // namespace
 
 /// One arena of chunk-expansion scratch (see ExpandArenas). Every member
@@ -139,17 +136,6 @@ ExpandArenas::Lease::~Lease() {
   pool_.free_.push_back(std::move(scratch_));
 }
 
-void set_default_frontier_mode(FrontierMode mode) {
-  if (mode == FrontierMode::kDefault) mode = FrontierMode::kAuto;
-  g_default_frontier_mode.store(static_cast<int>(mode),
-                                std::memory_order_relaxed);
-}
-
-FrontierMode default_frontier_mode() {
-  return static_cast<FrontierMode>(
-      g_default_frontier_mode.load(std::memory_order_relaxed));
-}
-
 std::optional<FrontierMode> frontier_mode_from_name(std::string_view name) {
   if (name == "auto") return FrontierMode::kAuto;
   if (name == "dense") return FrontierMode::kDense;
@@ -159,8 +145,6 @@ std::optional<FrontierMode> frontier_mode_from_name(std::string_view name) {
 
 const char* to_string(FrontierMode mode) {
   switch (mode) {
-    case FrontierMode::kDefault:
-      return "default";
     case FrontierMode::kAuto:
       return "auto";
     case FrontierMode::kSparse:
@@ -253,10 +237,11 @@ void WordSeqIndex::grow() {
 FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
                                const AnalysisOptions& options,
                                ViewInterner& interner, int first_root,
-                               int last_root,
+                               int last_root, FrontierMode frontier,
                                std::shared_ptr<ExpandArenas> arenas)
     : adversary_(&adversary),
       options_(options),
+      frontier_mode_(frontier),
       interner_(&interner),
       arenas_(arenas ? std::move(arenas) : std::make_shared<ExpandArenas>()) {
   const int n = adversary.num_processes();
@@ -408,8 +393,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
 
   const std::size_t chunk_size = chunk.end - chunk.begin;
   const std::size_t num_pairs = shape_.pairs.size();
-  FrontierMode mode = options_.frontier;
-  if (mode == FrontierMode::kDefault) mode = default_frontier_mode();
+  const FrontierMode mode = frontier_mode_;
 
   // ---- Dense planning, O(pairs) arithmetic before any expansion.
   //

@@ -29,12 +29,11 @@
 //              EVERY chunk size. Chunking is an execution detail that
 //              can never change a result.
 //
-// merge() is separated from commit() so a caller coordinating several
-// engines (runtime/sweep/parallel_solver.*) can apply the global
-// truncation budget to the sum of the pending level sizes BEFORE any
-// interner mutation happens: an overflowing level leaves every interner
-// exactly as if the level had never been attempted, matching the serial
-// checker's truncation semantics bit for bit.
+// merge() is separated from commit() so the caller coordinating one
+// engine per root (analyze_depth in core/epsilon_approx.hpp) can apply
+// the global truncation budget to the sum of the pending level sizes
+// BEFORE any interner mutation happens: an overflowing level leaves
+// every interner exactly as if the level had never been attempted.
 #pragma once
 
 #include <atomic>
@@ -60,13 +59,6 @@ struct FrontierChunk {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
-
-/// Process-wide default for AnalysisOptions::frontier == kDefault: set
-/// from the CLI (`topocon --frontier=MODE`, `--sweep-frontier=MODE`).
-/// The initial value resolves to kAuto. Like set_default_chunk_states an
-/// execution knob only -- results are identical for every mode.
-void set_default_frontier_mode(FrontierMode mode);
-FrontierMode default_frontier_mode();
 
 /// Parses "auto" / "dense" / "sparse" (the `--frontier=` spellings);
 /// nullopt for anything else.
@@ -232,10 +224,10 @@ struct PendingFrontier {
 /// that aborted partway, holds distinct genuine classes of its root's
 /// next level, and roots never share classes, so the sum over roots of
 /// each root's largest chunk count (stats.pending_states) is a lower
-/// bound on the merged level. runtime/sweep/parallel_solver.cpp decides
-/// a tripped level from that bound in the same pass, and re-expands one
-/// chunk per root (exact counts) only when the bound stays within the
-/// cap.
+/// bound on the merged level. analyze_depth (core/epsilon_approx.hpp)
+/// decides a tripped level from that bound in the same pass, and
+/// re-expands one chunk per root (exact counts) only when the bound stays
+/// within the cap.
 class FrontierBudget {
  public:
   explicit FrontierBudget(std::size_t max_states)
@@ -255,22 +247,6 @@ class FrontierBudget {
   std::atomic<std::size_t> total_{0};
   const std::size_t max_states_;
 };
-
-/// Streaming progress of a chunked expansion: fired once per completed
-/// chunk of the level currently being expanded. Purely observational --
-/// results never depend on it -- and the completion ORDER of chunks is
-/// thread-count-dependent; consumers may rely only on the counters.
-struct ChunkProgress {
-  /// Target depth of the analysis pass this level belongs to.
-  int depth = 0;
-  /// Level being expanded (1..depth).
-  int level = 0;
-  std::size_t chunks_done = 0;
-  std::size_t chunks_total = 0;
-  /// Total states of the frontier being expanded (all shards).
-  std::size_t frontier_states = 0;
-};
-using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
 
 struct ExpandScratch;
 
@@ -312,11 +288,12 @@ class FrontierEngine {
  public:
   /// Initializes the level-0 frontier: one class per input vector with
   /// dense index in [first_root, last_root). Mutates `interner` (which
-  /// must outlive the engine), like every commit() does. Engines of one
-  /// analysis may share `arenas`; null gives the engine its own.
+  /// must outlive the engine), like every commit() does. `frontier` is
+  /// the dedup representation of every expand(). Engines of one analysis
+  /// may share `arenas`; null gives the engine its own.
   FrontierEngine(const MessageAdversary& adversary,
                  const AnalysisOptions& options, ViewInterner& interner,
-                 int first_root, int last_root,
+                 int first_root, int last_root, FrontierMode frontier,
                  std::shared_ptr<ExpandArenas> arenas = nullptr);
 
   /// Depth expanded so far (0 right after construction).
@@ -337,8 +314,8 @@ class FrontierEngine {
   /// once the shared total trips; the classes it holds then are still
   /// genuine -- see FrontierBudget for what that makes exact.
   ///
-  /// The dedup representation is chosen per chunk by
-  /// options.frontier (kAuto by default): when the enumerable child-view
+  /// The dedup representation is chosen per chunk by the engine's
+  /// FrontierMode: under kAuto, when the enumerable child-view
   /// key space -- at most sum over the distinct (process, in-mask) pairs
   /// of the product of the per-process sender-id bounds -- is small, the
   /// chunk dedups through direct-indexed tables instead of hashing.
@@ -383,15 +360,6 @@ class FrontierEngine {
   }
   const std::vector<ChildLinks>& children() const { return children_; }
 
-  // Move-out variants for building a DepthAnalysis from a finished
-  // engine without copying multi-million-state histories; the engine is
-  // done afterwards (history empty).
-  std::vector<FlatLevel> take_levels() { return std::move(levels_); }
-  std::vector<std::vector<std::pair<int, int>>> take_first_parent() {
-    return std::move(first_parent_);
-  }
-  std::vector<ChildLinks> take_children() { return std::move(children_); }
-
  private:
   /// The adversary's per-round expansion shape, fixed at construction:
   /// the distinct (receiver, in-mask) pairs over all (letter, process)
@@ -415,6 +383,7 @@ class FrontierEngine {
 
   const MessageAdversary* adversary_;
   AnalysisOptions options_;
+  FrontierMode frontier_mode_;
   ViewInterner* interner_;
   std::shared_ptr<ExpandArenas> arenas_;
   ExpansionShape shape_;

@@ -5,27 +5,21 @@
 #include <deque>
 #include <unordered_map>
 
+#include "core/solvability.hpp"
+
 namespace topocon {
 
 std::vector<BivalencePoint> bivalence_series(const MessageAdversary& adversary,
                                              int max_depth, int num_values,
                                              std::size_t max_states) {
+  AnalysisOptions options;
+  options.depth = max_depth;
+  options.num_values = num_values;
+  options.max_states = max_states;
   std::vector<BivalencePoint> series;
-  auto interner = std::make_shared<ViewInterner>();
-  for (int depth = 1; depth <= max_depth; ++depth) {
-    AnalysisOptions options;
-    options.depth = depth;
-    options.num_values = num_values;
-    options.max_states = max_states;
-    options.keep_levels = false;
-    const DepthAnalysis analysis = analyze_depth(adversary, options, interner);
-    if (analysis.truncated) break;
-    BivalencePoint point;
-    point.depth = depth;
-    point.num_leaf_classes = analysis.leaves().size();
-    point.num_components = static_cast<int>(analysis.components.size());
-    point.merged_components = analysis.merged_components;
-    series.push_back(point);
+  for (const DepthStats& stats : depth_series(adversary, options)) {
+    series.push_back({stats.depth, stats.num_leaf_classes,
+                      stats.num_components, stats.merged_components});
   }
   return series;
 }

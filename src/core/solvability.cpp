@@ -1,5 +1,6 @@
 #include "core/solvability.hpp"
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -25,30 +26,20 @@ std::optional<SolvabilityVerdict> parse_solvability_verdict(
   return std::nullopt;
 }
 
-SolvabilityResult check_solvability(const MessageAdversary& adversary,
-                                    const SolvabilityOptions& options) {
-  return check_solvability_with(
-      adversary, options,
-      [&adversary](const AnalysisOptions& analysis_options,
-                   const std::shared_ptr<ViewInterner>& interner) {
-        return analyze_depth(adversary, analysis_options, interner);
-      });
-}
+namespace {
 
-SolvabilityResult check_solvability_oracle(const MessageAdversary& adversary,
-                                           const SolvabilityOptions& options) {
-  return check_solvability_with(
-      adversary, options,
-      [&adversary](const AnalysisOptions& analysis_options,
-                   const std::shared_ptr<ViewInterner>& interner) {
-        return analyze_depth_oracle(adversary, analysis_options, interner);
-      });
-}
+/// The per-depth analysis the deepening driver runs: receives the depth's
+/// AnalysisOptions and the interner shared across all depths of a check.
+using AnalyzeAtDepth = std::function<DepthAnalysis(
+    const AnalysisOptions&, const std::shared_ptr<ViewInterner>&)>;
 
-SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
-                                         const SolvabilityOptions& options,
-                                         const DepthAnalyzeFn& analyze,
-                                         const DepthProgressFn& on_depth) {
+/// The iterative-deepening driver behind check_solvability and its
+/// oracle: keeping one driver means the two can only disagree if their
+/// analyses do.
+SolvabilityResult deepen(const MessageAdversary& adversary,
+                         const SolvabilityOptions& options,
+                         const AnalyzeAtDepth& analyze,
+                         const DepthProgressFn& on_depth) {
   SolvabilityResult result;
   result.closure_only = !adversary.is_compact();
   auto interner = std::make_shared<ViewInterner>();
@@ -78,17 +69,8 @@ SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
       return result;
     }
 
-    DepthStats stats;
-    stats.depth = depth;
-    stats.num_leaf_classes = cheap.leaves().size();
-    stats.num_components = static_cast<int>(cheap.components.size());
-    stats.merged_components = cheap.merged_components;
-    stats.separated = cheap.valence_separated;
-    stats.valent_broadcastable = cheap.valent_broadcastable;
-    stats.strong_assignable = cheap.strong_assignable;
-    stats.interner_views = interner->size();
-    result.per_depth.push_back(stats);
-    if (on_depth) on_depth(stats);
+    result.per_depth.push_back(depth_stats(cheap));
+    if (on_depth) on_depth(result.per_depth.back());
 
     const bool certified =
         cheap.valence_separated &&
@@ -122,6 +104,65 @@ SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
   }
   result.verdict = SolvabilityVerdict::kNotSeparated;
   return result;
+}
+
+}  // namespace
+
+SolvabilityResult check_solvability(const MessageAdversary& adversary,
+                                    const SolvabilityOptions& options,
+                                    const ExecutionOptions& execution,
+                                    const DepthProgressFn& on_depth) {
+  return deepen(
+      adversary, options,
+      [&adversary, &execution](const AnalysisOptions& analysis_options,
+                               const std::shared_ptr<ViewInterner>& interner) {
+        return analyze_depth(adversary, analysis_options, interner,
+                             execution);
+      },
+      on_depth);
+}
+
+SolvabilityResult check_solvability_oracle(const MessageAdversary& adversary,
+                                           const SolvabilityOptions& options) {
+  return deepen(
+      adversary, options,
+      [&adversary](const AnalysisOptions& analysis_options,
+                   const std::shared_ptr<ViewInterner>& interner) {
+        return analyze_depth_oracle(adversary, analysis_options, interner);
+      },
+      {});
+}
+
+DepthStats depth_stats(const DepthAnalysis& analysis) {
+  DepthStats stats;
+  stats.depth = analysis.depth;
+  stats.num_leaf_classes = analysis.leaves().size();
+  stats.num_components = static_cast<int>(analysis.components.size());
+  stats.merged_components = analysis.merged_components;
+  stats.separated = analysis.valence_separated;
+  stats.valent_broadcastable = analysis.valent_broadcastable;
+  stats.strong_assignable = analysis.strong_assignable;
+  stats.interner_views = analysis.interner->size();
+  return stats;
+}
+
+std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
+                                     const AnalysisOptions& options,
+                                     const ExecutionOptions& execution,
+                                     const DepthProgressFn& on_depth) {
+  std::vector<DepthStats> series;
+  auto interner = std::make_shared<ViewInterner>();
+  for (int depth = 1; depth <= options.depth; ++depth) {
+    AnalysisOptions per_depth = options;
+    per_depth.depth = depth;
+    per_depth.keep_levels = false;
+    const DepthAnalysis analysis =
+        analyze_depth(adversary, per_depth, interner, execution);
+    if (analysis.truncated) break;
+    series.push_back(depth_stats(analysis));
+    if (on_depth) on_depth(series.back());
+  }
+  return series;
 }
 
 }  // namespace topocon

@@ -93,36 +93,42 @@ struct SolvabilityResult {
   std::optional<DecisionTable> table;
 };
 
-SolvabilityResult check_solvability(const MessageAdversary& adversary,
-                                    const SolvabilityOptions& options = {});
-
-/// REFERENCE implementation of check_solvability(): the same iterative-
-/// deepening driver (check_solvability_with) over analyze_depth_oracle,
-/// the single-scan expansion, instead of the chunked FrontierEngine.
-/// Verdict, certified depth, per-depth statistics (including interned-
-/// view counts), and the final analysis must be identical to the serial
-/// checker and to parallel_check_solvability at every chunk size and
-/// thread count; the fuzz differential harness asserts exactly that.
-SolvabilityResult check_solvability_oracle(
-    const MessageAdversary& adversary, const SolvabilityOptions& options = {});
-
-/// The iterative-deepening driver behind check_solvability, parameterized
-/// over the per-depth analysis: `analyze` receives the depth's
-/// AnalysisOptions and the interner shared across all depths of this
-/// check, and returns the DepthAnalysis. The parallel sweep engine passes
-/// its sharded analysis here; check_solvability passes analyze_depth.
-/// Keeping one driver guarantees serial and parallel verdicts can only
-/// differ if the analyses differ.
-using DepthAnalyzeFn = std::function<DepthAnalysis(
-    const AnalysisOptions&, const std::shared_ptr<ViewInterner>&)>;
 /// Streaming progress callback: invoked once per completed depth with the
 /// depth's aggregate statistics, in depth order, before the verdict is
 /// known. Purely observational -- the result is identical with or without
 /// it. Feeds api::Observer::on_depth.
 using DepthProgressFn = std::function<void(const DepthStats&)>;
-SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
-                                         const SolvabilityOptions& options,
-                                         const DepthAnalyzeFn& analyze,
-                                         const DepthProgressFn& on_depth = {});
+
+/// The iterative-deepening checker: analyze_depth() at depths 1, 2, ...
+/// with one interner shared across depths, run as `execution` says.
+/// `on_depth` streams each completed depth's statistics on the calling
+/// thread; it never changes the result.
+SolvabilityResult check_solvability(const MessageAdversary& adversary,
+                                    const SolvabilityOptions& options = {},
+                                    const ExecutionOptions& execution = {},
+                                    const DepthProgressFn& on_depth = {});
+
+/// REFERENCE implementation of check_solvability(): the same iterative-
+/// deepening driver over analyze_depth_oracle, the single-scan expansion,
+/// instead of the chunked FrontierEngine. Verdict, certified depth,
+/// per-depth statistics (including interned-view counts), and the final
+/// analysis must be identical to check_solvability() at every chunk size
+/// and thread count; the fuzz differential harness asserts exactly that.
+SolvabilityResult check_solvability_oracle(
+    const MessageAdversary& adversary, const SolvabilityOptions& options = {});
+
+/// The aggregate statistics of one completed depth. `interner_views` is
+/// the size of the analysis's interner, which a series shares across its
+/// depths.
+DepthStats depth_stats(const DepthAnalysis& analysis);
+
+/// The depth-by-depth series for depths 1..options.depth, continuing past
+/// separation: every depth is analyzed without levels, with one interner
+/// shared across depths, and the series stops at the first truncated
+/// depth. Streams each entry to `on_depth` as it completes.
+std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
+                                     const AnalysisOptions& options,
+                                     const ExecutionOptions& execution = {},
+                                     const DepthProgressFn& on_depth = {});
 
 }  // namespace topocon

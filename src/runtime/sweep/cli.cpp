@@ -6,7 +6,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/frontier.hpp"
 #include "runtime/sweep/engine.hpp"
 
 namespace topocon::sweep {
@@ -61,18 +60,6 @@ SweepCliOptions consume_sweep_args(int* argc, char** argv) {
         std::fprintf(stderr, "sweep: %s\n", error.what());
         std::exit(2);
       }
-      continue;
-    }
-    if (const auto mode = flag_value(arg, "sweep-frontier")) {
-      const auto parsed = frontier_mode_from_name(*mode);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr,
-                     "sweep: --sweep-frontier expects 'auto', 'dense', or "
-                     "'sparse', got '%s'\n",
-                     std::string(*mode).c_str());
-        std::exit(2);
-      }
-      set_default_frontier_mode(*parsed);
       continue;
     }
     if (const auto path = flag_value(arg, "sweep-json")) {

@@ -33,10 +33,9 @@ struct SweepCliOptions {
   std::string json_path;
 };
 
-/// Strips --sweep-threads=N, --sweep-frontier=MODE, and
-/// --sweep-json=PATH from argv (so they can precede google-benchmark's
-/// own argument parsing) and applies the thread/frontier defaults
-/// immediately.
+/// Strips --sweep-threads=N and --sweep-json=PATH from argv (so they can
+/// precede google-benchmark's own argument parsing) and applies the
+/// thread default immediately.
 SweepCliOptions consume_sweep_args(int* argc, char** argv);
 
 /// Writes the registry to options.json_path if set. Returns false (after

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <ostream>
 
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/trace.hpp"
 
@@ -226,7 +225,8 @@ int default_num_threads() {
 }
 
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
-                                     const SweepHooks& hooks) {
+                                     const SweepHooks& hooks,
+                                     const ExecutionOptions& execution) {
   std::vector<JobOutcome> outcomes(spec.jobs.size());
   std::mutex hook_mutex;
 
@@ -257,9 +257,11 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
         hooks.on_depth(j, stats);
       };
     }
-    ShardingOptions sharding;
+    ExecutionOptions job_execution = execution;
+    job_execution.parallel_for = parallel_for_of(pool);
+    job_execution.on_chunk = nullptr;
     if (hooks.on_chunk) {
-      sharding.on_chunk = [&, j](const ChunkProgress& progress) {
+      job_execution.on_chunk = [&, j](const ChunkProgress& progress) {
         const std::lock_guard<std::mutex> lock(hook_mutex);
         hooks.on_chunk(j, progress);
       };
@@ -274,30 +276,13 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       SolvabilityOptions solve = job.solve;
       if (job.kind == JobKind::kDecisionTable) solve.build_table = true;
       if (registry.has_value()) solve.metrics = &*registry;
-      outcome.result = parallel_check_solvability(*adversary, solve, pool,
-                                                  on_depth, sharding);
+      outcome.result =
+          check_solvability(*adversary, solve, job_execution, on_depth);
     } else {
-      auto interner = std::make_shared<ViewInterner>();
-      for (int depth = 1; depth <= job.analysis.depth; ++depth) {
-        AnalysisOptions per_depth = job.analysis;
-        per_depth.depth = depth;
-        per_depth.keep_levels = false;
-        if (registry.has_value()) per_depth.metrics = &*registry;
-        const DepthAnalysis analysis = parallel_analyze_depth(
-            *adversary, per_depth, pool, interner, sharding);
-        if (analysis.truncated) break;
-        DepthStats stats;
-        stats.depth = depth;
-        stats.num_leaf_classes = analysis.leaves().size();
-        stats.num_components = static_cast<int>(analysis.components.size());
-        stats.merged_components = analysis.merged_components;
-        stats.separated = analysis.valence_separated;
-        stats.valent_broadcastable = analysis.valent_broadcastable;
-        stats.strong_assignable = analysis.strong_assignable;
-        stats.interner_views = interner->size();
-        outcome.series.push_back(stats);
-        if (on_depth) on_depth(stats);
-      }
+      AnalysisOptions series = job.analysis;
+      if (registry.has_value()) series.metrics = &*registry;
+      outcome.series =
+          depth_series(*adversary, series, job_execution, on_depth);
     }
     outcome.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

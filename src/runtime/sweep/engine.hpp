@@ -3,7 +3,8 @@
 // A SweepSpec is a batch of independent solver jobs -- adversary family x
 // n x parameter grid -- executed concurrently on one work-helping thread
 // pool: jobs run in parallel, and inside every job the depth-t prefix
-// expansion is root-sharded over the same pool (parallel_solver.hpp).
+// expansion is root- and chunk-sharded over the same pool (analyze_depth
+// in core/epsilon_approx.hpp).
 // Results come back in job order with every field independent of the
 // thread count, so sweeps are reproducible artifacts: running with 1 or
 // 64 threads yields byte-identical JSON.
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "adversary/family.hpp"
-#include "core/frontier.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -44,7 +44,7 @@ namespace topocon::sweep {
 class ThreadPool;
 
 enum class JobKind {
-  /// Iterative-deepening solvability check (parallel_check_solvability).
+  /// Iterative-deepening solvability check (check_solvability).
   kSolvability,
   /// Depth-by-depth epsilon-approximation series for depths 1..max,
   /// continuing past separation (the E4/E6/E7 convergence curves).
@@ -137,10 +137,12 @@ struct SweepHooks {
 /// like spec.jobs; interners inside the outcomes are re-homed to the
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
-/// own history). Inside every job the expansion is chunk-sharded with
-/// the process-default chunk size (parallel_solver.hpp).
+/// own history). Every job expands with `execution`'s chunk size and
+/// frontier mode; the engine binds its parallel_for to `pool` and its
+/// on_chunk to hooks.on_chunk, replacing whatever those held.
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
-                                     const SweepHooks& hooks = {});
+                                     const SweepHooks& hooks = {},
+                                     const ExecutionOptions& execution = {});
 
 /// Default thread count for api::Session and the examples: set from
 /// --sweep-threads; 0 (the initial value) resolves to

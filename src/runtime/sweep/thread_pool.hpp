@@ -72,4 +72,13 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// `pool` as a core ParallelFor hook (ExecutionOptions::parallel_for in
+/// core/epsilon_approx.hpp). The pool must outlive every call.
+inline auto parallel_for_of(ThreadPool& pool) {
+  return [&pool](std::size_t count,
+                 const std::function<void(std::size_t)>& body) {
+    pool.parallel_for(count, body);
+  };
+}
+
 }  // namespace topocon::sweep

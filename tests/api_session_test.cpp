@@ -10,7 +10,6 @@
 
 #include "api/api.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 
 namespace topocon {
 namespace {
@@ -169,13 +168,52 @@ TEST(ApiSession, ObserverStreamsChunkProgressAndItNeverChangesResults) {
   // Force the finest sub-root sharding; the document must not change.
   Session base({.num_threads = 2, .record_global = false});
   base.run("chunked", mixed_queries());
-  sweep::set_default_chunk_states(1);
-  Session session({.num_threads = 2, .record_global = false});
+  Session session({.num_threads = 2,
+                   .record_global = false,
+                   .execution = {.chunk_states = 1}});
   ChunkObserver observer;
   session.run("chunked", mixed_queries(), &observer);
-  sweep::set_default_chunk_states(0);
   EXPECT_GT(observer.chunk_events, 0);
   EXPECT_EQ(history_json(session), history_json(base));
+}
+
+// A Session's chunk size is its own: a chunk=1 Session leaves nothing
+// behind for a default Session created after it in the same process.
+TEST(ApiSession, ChunkSizeDoesNotLeakIntoLaterSessions) {
+  class ChunkTotals : public api::Observer {
+   public:
+    void on_depth(std::size_t, const ChunkProgress& progress) override {
+      events.push_back(progress);
+    }
+    std::vector<ChunkProgress> events;
+  };
+  // Every root of lossy_link n=2 stays far below the default chunk size,
+  // so a default-chunked level has exactly one chunk per input vector.
+  const std::size_t roots = 4;
+  const std::vector<Query> queries = mixed_queries();
+
+  Session finest({.num_threads = 2,
+                  .record_global = false,
+                  .execution = {.chunk_states = 1}});
+  ChunkTotals fine;
+  finest.run("chunks", queries, &fine);
+  Session standard({.num_threads = 2, .record_global = false});
+  ChunkTotals coarse;
+  standard.run("chunks", queries, &coarse);
+
+  ASSERT_FALSE(fine.events.empty());
+  ASSERT_FALSE(coarse.events.empty());
+  bool split = false;
+  for (const ChunkProgress& event : fine.events) {
+    EXPECT_EQ(event.chunks_total, event.frontier_states);
+    split |= event.frontier_states > roots;
+  }
+  EXPECT_TRUE(split) << "no level outgrew one state per root";
+  for (const ChunkProgress& event : coarse.events) {
+    EXPECT_EQ(event.chunks_total, roots)
+        << "depth " << event.depth << " level " << event.level;
+  }
+  EXPECT_EQ(history_json(standard), history_json(finest));
 }
 
 TEST(ApiSession, DecisionTableQueryRecordsTheCertificateShape) {

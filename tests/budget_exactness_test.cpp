@@ -1,5 +1,5 @@
-// Exactness of the parallel engine's level budget (FrontierBudget and the
-// lower-bound decision in runtime/sweep/parallel_solver.cpp). Around the
+// Exactness of the engine's level budget (FrontierBudget and the
+// lower-bound decision in analyze_depth, core/epsilon_approx.cpp). Around the
 // first level that overflows max_states -- one state below, at, and above
 // its merged size, plus a budget the per-root lower bound proves and one
 // only the root-granular retry can decide -- the chunk-sharded engine
@@ -29,7 +29,6 @@
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
 #include "ptg/prefix.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "scenario/fuzz.hpp"
 #include "telemetry/metrics.hpp"
@@ -43,10 +42,9 @@ using telemetry::TelemetryCounters;
 
 constexpr std::size_t kUnbounded = std::size_t{1} << 40;
 
-sweep::ShardingOptions chunked(std::size_t chunk_states) {
-  sweep::ShardingOptions options;
-  options.chunk_states = chunk_states;
-  return options;
+ExecutionOptions on_pool(sweep::ThreadPool& pool, std::size_t chunk_states) {
+  return {.parallel_for = sweep::parallel_for_of(pool),
+          .chunk_states = chunk_states};
 }
 
 /// What the budget decision of `level` sees at a given chunk size,
@@ -75,7 +73,7 @@ LevelFacts level_facts(const MessageAdversary& adversary, int level,
   for (std::size_t r = 0; r < num_roots; ++r) {
     ViewInterner interner;
     FrontierEngine engine(adversary, options, interner, static_cast<int>(r),
-                          static_cast<int>(r) + 1);
+                          static_cast<int>(r) + 1, FrontierMode::kAuto);
     for (int s = 1; s < level; ++s) engine.advance(chunk_states);
     facts.previous += engine.frontier().size();
     std::uint64_t largest = 0;
@@ -99,8 +97,9 @@ LevelFacts level_facts(const MessageAdversary& adversary, int level,
 /// fell back to the root-granular retry runs two.
 class PassCounter {
  public:
-  sweep::ShardingOptions sharding(std::size_t chunk_states) {
-    sweep::ShardingOptions options = chunked(chunk_states);
+  ExecutionOptions execution(sweep::ThreadPool& pool,
+                             std::size_t chunk_states) {
+    ExecutionOptions options = on_pool(pool, chunk_states);
     options.on_chunk = [this](const ChunkProgress& progress) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (progress.chunks_done == 1) {
@@ -130,17 +129,17 @@ void expect_same_result(const SolvabilityResult& expected,
 
 /// Runs every budget of interest around `level` (the first level that
 /// overflows it) through the parallel engine and checks it against the
-/// reference scan, the serial checker, and the budget decision it must
+/// reference scan, the inline checker, and the budget decision it must
 /// have taken.
 void expect_budget_exact(const MessageAdversary& adversary, int level,
                          const std::string& label) {
   const std::vector<int> thread_counts = {1, 2, 8};
-  const std::vector<std::size_t> chunks = {1, 64, 0};
+  const std::vector<std::size_t> chunks = {1, 64,
+                                           ExecutionOptions{}.chunk_states};
   std::map<std::size_t, LevelFacts> facts_of;
   std::set<std::uint64_t> budgets;
   for (const std::size_t chunk : chunks) {
-    const LevelFacts facts = level_facts(
-        adversary, level, chunk == 0 ? sweep::default_chunk_states() : chunk);
+    const LevelFacts facts = level_facts(adversary, level, chunk);
     ASSERT_LT(facts.previous, facts.merged) << label;
     facts_of[chunk] = facts;
     budgets.insert({facts.merged - 1, facts.merged, facts.merged + 1});
@@ -159,7 +158,7 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
       budgets.insert(undecided);
     }
   }
-  const std::uint64_t merged = facts_of[0].merged;
+  const std::uint64_t merged = facts_of[chunks.front()].merged;
 
   for (const std::uint64_t budget : budgets) {
     AnalysisOptions options;
@@ -176,7 +175,7 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
     const SolvabilityResult reference =
         check_solvability_oracle(adversary, solve);
     expect_same_result(reference, check_solvability(adversary, solve),
-                       label + " serial checker");
+                       label + " inline checker");
 
     for (const std::size_t chunk : chunks) {
       const LevelFacts& facts = facts_of[chunk];
@@ -187,8 +186,8 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
       AnalysisOptions committed = options;
       committed.metrics = &committed_registry;
       if (overflows) committed.depth = level - 1;
-      sweep::parallel_analyze_depth(adversary, committed, serial_pool,
-                                    nullptr, chunked(chunk));
+      analyze_depth(adversary, committed, nullptr,
+                    on_pool(serial_pool, chunk));
       TelemetryCounters expected_counters =
           committed_registry.snapshot().counters;
       if (overflows) expected_counters.budget_early_aborts = 1;
@@ -203,8 +202,8 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
         telemetry::MetricsRegistry registry;
         AnalysisOptions metered = options;
         metered.metrics = &registry;
-        const DepthAnalysis parallel = sweep::parallel_analyze_depth(
-            adversary, metered, pool, nullptr, passes.sharding(chunk));
+        const DepthAnalysis parallel = analyze_depth(
+            adversary, metered, nullptr, passes.execution(pool, chunk));
         expect_analyses_identical(oracle, parallel, what, ViewIds::kRelabeled,
                                   /*a_is_reference_scan=*/true);
         const TelemetryCounters counters = registry.snapshot().counters;
@@ -229,8 +228,7 @@ void expect_budget_exact(const MessageAdversary& adversary, int level,
 
         expect_same_result(
             reference,
-            sweep::parallel_check_solvability(adversary, solve, pool, {},
-                                              chunked(chunk)),
+            check_solvability(adversary, solve, on_pool(pool, chunk)),
             what + " parallel checker");
       }
     }

@@ -1,5 +1,5 @@
 // Differential test for the flat-level layout: the chunk-sharded
-// parallel_analyze_depth (per-root engines, parallel root merge, parallel
+// analyze_depth on a pool (per-root engines, parallel root merge, parallel
 // components) must equal the single-scan reference analyze_depth_oracle
 // field for field -- flat rows, root tables, multiplicities, CSR
 // children, first_parent links, truncation, components, and flags --
@@ -19,7 +19,6 @@
 #include "adversary/omission.hpp"
 #include "analysis_compare.hpp"
 #include "core/epsilon_approx.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "scenario/fuzz.hpp"
 
@@ -59,11 +58,12 @@ void expect_parallel_matches_oracle(const MessageAdversary& adversary,
     std::optional<DepthAnalysis> first;
     for (const int threads : {1, 2, 8}) {
       sweep::ThreadPool pool(threads);
-      for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-        sweep::ShardingOptions sharding;
-        sharding.chunk_states = chunk;
-        DepthAnalysis parallel = sweep::parallel_analyze_depth(
-            adversary, options, pool, nullptr, sharding);
+      for (const std::size_t chunk :
+           {std::size_t{1}, ExecutionOptions{}.chunk_states}) {
+        DepthAnalysis parallel = analyze_depth(
+            adversary, options, nullptr,
+            {.parallel_for = sweep::parallel_for_of(pool),
+             .chunk_states = chunk});
         std::string what = context;
         what += " threads=" + std::to_string(threads);
         what += " chunk=" + std::to_string(chunk);

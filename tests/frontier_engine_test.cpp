@@ -182,7 +182,7 @@ TEST(FrontierEngine, MatchesReferenceExpansionLevelByLevel) {
         reference_levels(*ma, options, reference_interner, 4);
 
     ViewInterner interner;
-    FrontierEngine engine(*ma, options, interner, 0, 4);
+    FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
     expect_states_equal(reference[0], engine.frontier(), "level 0");
     for (std::size_t s = 1; s < reference.size(); ++s) {
       ASSERT_TRUE(engine.advance());
@@ -200,13 +200,13 @@ TEST(FrontierEngine, EveryChunkSizeYieldsIdenticalLevelsAndIds) {
   options.depth = 3;
   options.keep_levels = true;
   ViewInterner base_interner;
-  FrontierEngine base(*ma, options, base_interner, 0, 4);
+  FrontierEngine base(*ma, options, base_interner, 0, 4, FrontierMode::kAuto);
   while (base.level() < options.depth) ASSERT_TRUE(base.advance());
 
   for (const std::size_t chunk_states :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
     ViewInterner interner;
-    FrontierEngine engine(*ma, options, interner, 0, 4);
+    FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
     while (engine.level() < options.depth) {
       ASSERT_TRUE(engine.advance(chunk_states));
     }
@@ -226,7 +226,7 @@ TEST(FrontierEngine, PartitionIsDeterministicAndCoversTheFrontier) {
   AnalysisOptions options;
   options.depth = 2;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4);
+  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
   ASSERT_TRUE(engine.advance());
   ASSERT_TRUE(engine.advance());
   const std::size_t size = engine.frontier().size();
@@ -255,7 +255,7 @@ TEST(FrontierEngine, ExpandIsReadOnlyAndChunksCompose) {
   AnalysisOptions options;
   options.depth = 2;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4);
+  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
   ASSERT_TRUE(engine.advance());
 
   const std::vector<FrontierChunk> chunks = engine.partition(2);
@@ -280,7 +280,7 @@ TEST(FrontierEngine, BudgetAbortsDoomedLevels) {
   options.depth = 2;
   options.max_states = 1000;  // level 1 has 176 classes, level 2 has 3872
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 8);
+  FrontierEngine engine(*ma, options, interner, 0, 8, FrontierMode::kAuto);
   ASSERT_TRUE(engine.advance());  // level 1 fits
 
   FrontierBudget budget(options.max_states);
@@ -302,7 +302,7 @@ TEST(FrontierEngine, OverflowLeavesLastCompleteLevel) {
   options.depth = 6;
   options.max_states = 50;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4);
+  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
   int completed = 0;
   while (engine.level() < options.depth && engine.advance(1)) ++completed;
   EXPECT_TRUE(engine.truncated());

@@ -20,21 +20,9 @@
 namespace topocon {
 namespace {
 
-/// Restores the process-wide default on scope exit, so tests that pin it
-/// cannot leak the pin into later suites of the same binary.
-class DefaultModeGuard {
- public:
-  DefaultModeGuard() : saved_(default_frontier_mode()) {}
-  ~DefaultModeGuard() { set_default_frontier_mode(saved_); }
-
- private:
-  FrontierMode saved_;
-};
-
 DepthAnalysis run_with(const MessageAdversary& adversary,
-                       AnalysisOptions options, FrontierMode mode) {
-  options.frontier = mode;
-  return analyze_depth(adversary, options);
+                       const AnalysisOptions& options, FrontierMode mode) {
+  return analyze_depth(adversary, options, nullptr, {.frontier = mode});
 }
 
 using test_support::expect_analyses_identical;
@@ -87,21 +75,20 @@ TEST(FrontierMode, ComposedFuzzPointsAreIdenticalAcrossRepresentations) {
   }
 }
 
-TEST(FrontierMode, ProcessDefaultResolvesKDefault) {
-  // AnalysisOptions::kDefault defers to the process-wide default (what
-  // `topocon run --frontier=...` pins); whatever it is pinned to, the
-  // analysis bytes cannot change.
+TEST(FrontierMode, DefaultExecutionOptionsUseTheAutoHeuristic) {
+  // An ExecutionOptions left at its defaults (what `topocon run` uses
+  // without --frontier) picks kAuto; a run with a forced mode before it
+  // leaves nothing behind, so the default analysis bytes cannot change.
+  EXPECT_EQ(ExecutionOptions{}.frontier, FrontierMode::kAuto);
   const auto ma = make_omission_adversary(2, 1);
   AnalysisOptions options;
   options.depth = 4;
   const DepthAnalysis sparse = run_with(*ma, options, FrontierMode::kSparse);
-  DefaultModeGuard guard;
-  for (const FrontierMode pinned :
+  for (const FrontierMode forced :
        {FrontierMode::kDense, FrontierMode::kSparse, FrontierMode::kAuto}) {
-    set_default_frontier_mode(pinned);
-    const DepthAnalysis via_default =
-        run_with(*ma, options, FrontierMode::kDefault);
-    expect_analyses_identical(sparse, via_default, to_string(pinned));
+    run_with(*ma, options, forced);
+    expect_analyses_identical(sparse, analyze_depth(*ma, options),
+                              to_string(forced));
   }
 }
 

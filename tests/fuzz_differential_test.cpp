@@ -1,10 +1,10 @@
 // Differential harness over the seeded composed-adversary fuzzer
 // (scenario/fuzz.hpp): every fuzzed point is run through the oracle
 // checker (check_solvability_oracle -- the single-scan reference
-// expansion), the serial FrontierEngine checker, and the chunk-sharded
-// parallel checker at several chunk sizes and thread counts, and ALL of
-// them must agree bit for bit on the verdict, the certified depth, and
-// every per-depth statistic including the interned-view counts. Failure
+// expansion) and the chunk-sharded engine checker, inline and at several
+// chunk sizes and thread counts, and ALL of them must agree bit for bit
+// on the verdict, the certified depth, and every per-depth statistic
+// including the interned-view counts. Failure
 // messages carry the seed and the point's replayable spec label, so any
 // divergence reproduces with
 //   topocon fuzz --seed=SEED --count=COUNT --n=N
@@ -24,7 +24,6 @@
 #include "adversary/compose.hpp"
 #include "adversary/family.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "scenario/fuzz.hpp"
 
@@ -58,7 +57,7 @@ void expect_same_result(const SolvabilityResult& oracle,
   }
 }
 
-/// The harness: fuzz `spec`, then demand oracle == serial == parallel at
+/// The harness: fuzz `spec`, then demand oracle == engine, inline and at
 /// threads x chunk in {1, 2, 8} x {1, default} for every point.
 void run_differential(const scenario::FuzzSpec& spec) {
   const std::vector<FamilyPoint> points = scenario::fuzz_points(spec);
@@ -80,15 +79,16 @@ void run_differential(const scenario::FuzzSpec& spec) {
         check_solvability_oracle(*adversary, options);
 
     expect_same_result(oracle, check_solvability(*adversary, options),
-                       context + " (serial FrontierEngine)");
+                       context + " (inline, default chunk)");
     for (sweep::ThreadPool* const pool : pools) {
-      for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
-        sweep::ShardingOptions sharding;
-        sharding.chunk_states = chunk_states;
+      for (const std::size_t chunk_states :
+           {std::size_t{1}, ExecutionOptions{}.chunk_states}) {
         expect_same_result(
             oracle,
-            sweep::parallel_check_solvability(*adversary, options, *pool,
-                                              {}, sharding),
+            check_solvability(
+                *adversary, options,
+                {.parallel_for = sweep::parallel_for_of(*pool),
+                 .chunk_states = chunk_states}),
             context + " (parallel threads=" +
                 std::to_string(pool->num_threads()) +
                 " chunk=" + std::to_string(chunk_states) + ")");

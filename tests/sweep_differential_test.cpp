@@ -13,7 +13,7 @@
 #include "adversary/oblivious.hpp"
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
 namespace {
@@ -100,8 +100,8 @@ TEST(SweepDifferential, RandomCompactAdversaries) {
 
     const SolvabilityResult serial = check_solvability(*ma, options);
     sweep::ThreadPool pool(2 + static_cast<int>(i % 3));
-    const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool);
+    const SolvabilityResult parallel = check_solvability(
+        *ma, options, {.parallel_for = sweep::parallel_for_of(pool)});
     expect_equal_results(serial, parallel, i);
   }
 }

@@ -1,6 +1,6 @@
 // Unit tests for the parallel sweep engine: thread-pool semantics
 // (including nesting), exact agreement of the chunk-sharded depth
-// analysis with the serial one (at several forced chunk sizes),
+// analysis on a pool with the inline one (at several forced chunk sizes),
 // SweepSpec execution with deterministic result ordering, and
 // byte-identical JSON across thread counts.
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "core/solvability.hpp"
 #include "runtime/sweep/engine.hpp"
 #include "runtime/sweep/json.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
@@ -27,7 +26,6 @@ namespace {
 using sweep::JobKind;
 using sweep::JobOutcome;
 using sweep::JsonWriter;
-using sweep::ShardingOptions;
 using sweep::SweepSpec;
 using sweep::ThreadPool;
 
@@ -77,16 +75,24 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(sweep::resolve_threads(0), 1);
 }
 
-// ---- parallel_analyze_depth vs analyze_depth ----------------------------
+// ---- analyze_depth on a pool vs inline ---------------------------------
 
-// The serial engine interns level by level across all roots while the
-// parallel one absorbs root by root, so view ids are a consistent
-// relabeling of each other; every other field is identical.
+/// Runs the analysis loops on `pool` with `chunk_states` per chunk.
+ExecutionOptions on_pool(ThreadPool& pool,
+                         std::size_t chunk_states =
+                             ExecutionOptions{}.chunk_states) {
+  return {.parallel_for = sweep::parallel_for_of(pool),
+          .chunk_states = chunk_states};
+}
+
+// Inline and pooled runs drive the same per-root engines and absorb the
+// root interners in the same order, so every field -- view ids
+// included -- is identical.
 void expect_analysis_equal(const DepthAnalysis& serial,
                            const DepthAnalysis& parallel) {
   test_support::expect_analyses_identical(serial, parallel,
-                                          "serial vs parallel",
-                                          test_support::ViewIds::kRelabeled);
+                                          "inline vs pool",
+                                          test_support::ViewIds::kExact);
 }
 
 TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
@@ -100,7 +106,7 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
       for (const int threads : {1, 2, 4}) {
         ThreadPool pool(threads);
         expect_analysis_equal(
-            serial, sweep::parallel_analyze_depth(*ma, options, pool));
+            serial, analyze_depth(*ma, options, nullptr, on_pool(pool)));
       }
     }
   }
@@ -108,7 +114,7 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
 
 TEST(ParallelAnalyze, MatchesSerialAtEveryChunkSize) {
   // Sub-root sharding forced down to one-state chunks must reproduce the
-  // serial analysis exactly -- including tree links and multiplicities.
+  // inline analysis exactly -- including tree links and multiplicities.
   const auto ma = make_lossy_link(0b111);
   AnalysisOptions options;
   options.depth = 4;
@@ -118,11 +124,9 @@ TEST(ParallelAnalyze, MatchesSerialAtEveryChunkSize) {
                                          std::size_t{7}, std::size_t{64}}) {
     for (const int threads : {1, 3}) {
       ThreadPool pool(threads);
-      ShardingOptions sharding;
-      sharding.chunk_states = chunk_states;
-      expect_analysis_equal(serial,
-                            sweep::parallel_analyze_depth(
-                                *ma, options, pool, nullptr, sharding));
+      expect_analysis_equal(
+          serial,
+          analyze_depth(*ma, options, nullptr, on_pool(pool, chunk_states)));
     }
   }
 }
@@ -136,11 +140,9 @@ TEST(ParallelAnalyze, MatchesSerialOnOmissionN3) {
   const DepthAnalysis serial = analyze_depth(*ma, options);
   ThreadPool pool(3);
   expect_analysis_equal(serial,
-                        sweep::parallel_analyze_depth(*ma, options, pool));
-  ShardingOptions fine;
-  fine.chunk_states = 1;
-  expect_analysis_equal(serial, sweep::parallel_analyze_depth(
-                                    *ma, options, pool, nullptr, fine));
+                        analyze_depth(*ma, options, nullptr, on_pool(pool)));
+  expect_analysis_equal(
+      serial, analyze_depth(*ma, options, nullptr, on_pool(pool, 1)));
 }
 
 TEST(ParallelAnalyze, TruncationMatchesSerial) {
@@ -150,13 +152,12 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
   options.max_states = 50;  // overflows at some level > 1
   const DepthAnalysis serial = analyze_depth(*ma, options);
   ASSERT_TRUE(serial.truncated);
-  for (const std::size_t chunk_states : {std::size_t{0}, std::size_t{1}}) {
+  for (const std::size_t chunk_states :
+       {ExecutionOptions{}.chunk_states, std::size_t{1}}) {
     for (const int threads : {1, 3}) {
       ThreadPool pool(threads);
-      ShardingOptions sharding;
-      sharding.chunk_states = chunk_states;
-      const DepthAnalysis parallel = sweep::parallel_analyze_depth(
-          *ma, options, pool, nullptr, sharding);
+      const DepthAnalysis parallel = analyze_depth(
+          *ma, options, nullptr, on_pool(pool, chunk_states));
       EXPECT_TRUE(parallel.truncated);
       EXPECT_EQ(parallel.depth, serial.depth);
       EXPECT_EQ(parallel.leaves().size(), serial.leaves().size());
@@ -169,14 +170,14 @@ TEST(ParallelAnalyze, ChunkProgressCountsEveryChunkOfEveryLevel) {
   AnalysisOptions options;
   options.depth = 3;
   ThreadPool pool(2);
-  ShardingOptions sharding;
-  sharding.chunk_states = 4;  // force sub-root splitting on a skewed level
+  // Force sub-root splitting on a skewed level.
+  ExecutionOptions execution = on_pool(pool, 4);
   std::vector<ChunkProgress> events;
-  sharding.on_chunk = [&](const ChunkProgress& progress) {
+  execution.on_chunk = [&](const ChunkProgress& progress) {
     events.push_back(progress);
   };
   const DepthAnalysis analysis =
-      sweep::parallel_analyze_depth(*ma, options, pool, nullptr, sharding);
+      analyze_depth(*ma, options, nullptr, execution);
   const DepthAnalysis serial = analyze_depth(*ma, options);
   expect_analysis_equal(serial, analysis);
 
@@ -211,7 +212,7 @@ TEST(ParallelCheck, AgreesWithSerialVerdicts) {
     const SolvabilityResult serial = check_solvability(*ma, options);
     ThreadPool pool(2);
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool);
+        check_solvability(*ma, options, on_pool(pool));
     EXPECT_EQ(parallel.verdict, serial.verdict);
     EXPECT_EQ(parallel.certified_depth, serial.certified_depth);
     EXPECT_EQ(parallel.per_depth.size(), serial.per_depth.size());
@@ -238,11 +239,9 @@ TEST(ParallelCheck, ChunkedVerdictAndStatsMatchUnchunked) {
   options.max_depth = 5;
   ThreadPool pool(2);
   const SolvabilityResult base =
-      sweep::parallel_check_solvability(*ma, options, pool);
-  ShardingOptions fine;
-  fine.chunk_states = 1;
+      check_solvability(*ma, options, on_pool(pool));
   const SolvabilityResult chunked =
-      sweep::parallel_check_solvability(*ma, options, pool, {}, fine);
+      check_solvability(*ma, options, on_pool(pool, 1));
   EXPECT_EQ(chunked.verdict, base.verdict);
   EXPECT_EQ(chunked.certified_depth, base.certified_depth);
   ASSERT_EQ(chunked.per_depth.size(), base.per_depth.size());
@@ -295,9 +294,10 @@ std::string spec_json(const std::vector<JobOutcome>& outcomes) {
   return out.str();
 }
 
-std::vector<JobOutcome> run_small_spec(int threads) {
+std::vector<JobOutcome> run_small_spec(
+    int threads, const ExecutionOptions& execution = {}) {
   ThreadPool pool(threads);
-  return sweep::run_sweep_on(small_spec(), pool);
+  return sweep::run_sweep_on(small_spec(), pool, {}, execution);
 }
 
 TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
@@ -316,9 +316,8 @@ TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
 
 TEST(RunSweepOn, JsonIdenticalUnderFinestChunking) {
   const std::string base_json = spec_json(run_small_spec(2));
-  sweep::set_default_chunk_states(1);
-  const std::string chunked_json = spec_json(run_small_spec(2));
-  sweep::set_default_chunk_states(0);
+  const std::string chunked_json =
+      spec_json(run_small_spec(2, {.chunk_states = 1}));
   EXPECT_EQ(chunked_json, base_json);
 }
 

@@ -14,7 +14,7 @@
 #include "adversary/family.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
 namespace {
@@ -63,8 +63,8 @@ TEST(SweepStress, DeepWindowedAnalysisMatchesSerialOversubscribed) {
   const DepthAnalysis serial = analyze_depth(*ma, options);
   const int hw = sweep::resolve_threads(0);
   sweep::ThreadPool pool(2 * hw + 1);
-  const DepthAnalysis parallel =
-      sweep::parallel_analyze_depth(*ma, options, pool);
+  const DepthAnalysis parallel = analyze_depth(
+      *ma, options, nullptr, {.parallel_for = sweep::parallel_for_of(pool)});
   EXPECT_EQ(parallel.leaf_component, serial.leaf_component);
   EXPECT_EQ(parallel.components.size(), serial.components.size());
   EXPECT_EQ(parallel.merged_components, serial.merged_components);

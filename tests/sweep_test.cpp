@@ -23,7 +23,7 @@
 #include "analysis/oracles.hpp"
 #include "core/solvability.hpp"
 #include "runtime/simulator.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 #include "runtime/universal_runner.hpp"
 #include "runtime/verify.hpp"
 
@@ -38,8 +38,8 @@ void expect_parallel_matches(const MessageAdversary& ma,
   const int hw = sweep::resolve_threads(0);
   for (const int threads : {1, 2, hw}) {
     sweep::ThreadPool pool(threads);
-    const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(ma, options, pool);
+    const SolvabilityResult parallel = check_solvability(
+        ma, options, {.parallel_for = sweep::parallel_for_of(pool)});
     ASSERT_EQ(parallel.verdict, serial.verdict)
         << ma.name() << " at " << threads << " threads";
     EXPECT_EQ(parallel.certified_depth, serial.certified_depth);

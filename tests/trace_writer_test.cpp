@@ -18,7 +18,6 @@
 #include "api/api.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/json.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -217,11 +216,11 @@ BudgetSpans traced_budget_check(std::size_t chunk_states) {
     options.build_table = false;
     options.metrics = &registry;
     sweep::ThreadPool pool(1);
-    sweep::ShardingOptions sharding;
-    sharding.chunk_states = chunk_states;
     const auto adversary = make_omission_adversary(3, 2);
-    const SolvabilityResult result = sweep::parallel_check_solvability(
-        *adversary, options, pool, {}, sharding);
+    const SolvabilityResult result = check_solvability(
+        *adversary, options,
+        {.parallel_for = sweep::parallel_for_of(pool),
+         .chunk_states = chunk_states});
     EXPECT_EQ(result.verdict, SolvabilityVerdict::kResourceLimit);
   }
   BudgetSpans spans;

@@ -41,9 +41,9 @@
 // `fuzz` is the composed-adversary differential harness: it expands the
 // seeded fuzzer (scenario/fuzz.hpp) into `--count` composed points and
 // runs every point through the oracle checker (check_solvability_oracle,
-// the single-scan reference expansion), the serial FrontierEngine checker,
-// and the chunk-sharded parallel checker at chunk sizes 1 and default --
-// then demands bit-identical verdicts, certified depths, and per-depth
+// the single-scan reference expansion) and the chunk-sharded engine
+// checker on the pool at chunk sizes 1 and default -- then demands
+// bit-identical verdicts, certified depths, and per-depth
 // statistics (including interned-view counts) from all of them. Any
 // divergence prints the seed, the point index, and its replayable spec
 // label to stderr and exits 1. The stdout table carries no timings, so a
@@ -95,7 +95,6 @@
 #include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
 #include "runtime/sweep/cli.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -261,8 +260,7 @@ enum class Format { kTable, kCsv };
 
 struct RunFlags {
   int threads = 0;
-  int chunk = 0;  // 0 = default_chunk_states()
-  std::optional<FrontierMode> frontier;
+  ExecutionOptions execution;  // --chunk, --frontier
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -271,6 +269,20 @@ struct RunFlags {
   bool telemetry_json = false; // "telemetry" sections in the --json doc
   int fail_after = 0;  // 0 = disabled
 };
+
+/// Parses a --frontier value; returns false on an unknown mode (after
+/// printing to stderr).
+bool parse_frontier(std::string_view value, FrontierMode* mode) {
+  const std::optional<FrontierMode> parsed = frontier_mode_from_name(value);
+  if (!parsed.has_value()) {
+    std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
+                 "'sparse', got '"
+              << value << "'\n";
+    return false;
+  }
+  *mode = *parsed;
+  return true;
+}
 
 /// Parses the flags shared by run/resume; returns false on an unknown
 /// argument (after printing to stderr).
@@ -281,19 +293,14 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
       if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_int_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "chunk")) {
-        flags->chunk = sweep::parse_int_value("chunk", *v);
-        if (flags->chunk <= 0) {
+        const int chunk = sweep::parse_int_value("chunk", *v);
+        if (chunk <= 0) {
           std::cerr << "topocon: --chunk must be >= 1\n";
           return false;
         }
+        flags->execution.chunk_states = static_cast<std::size_t>(chunk);
       } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        flags->frontier = frontier_mode_from_name(*v);
-        if (!flags->frontier.has_value()) {
-          std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
-                       "'sparse', got '"
-                    << *v << "'\n";
-          return false;
-        }
+        if (!parse_frontier(*v, &flags->execution.frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "json")) {
         if (v->empty()) {
           std::cerr << "topocon: --json needs a non-empty path\n";
@@ -780,12 +787,6 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
     return 2;
   }
 
-  if (flags.chunk > 0) {
-    sweep::set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
-  }
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   std::ofstream trace_out;
   std::optional<telemetry::TraceWriter> trace;
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
@@ -794,7 +795,8 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
        .record_global = false,
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = flags.telemetry_json,
-       .trace = trace.has_value() ? &*trace : nullptr});
+       .trace = trace.has_value() ? &*trace : nullptr,
+       .execution = flags.execution});
   std::vector<std::size_t> job_index(plan.queries.size());
   for (std::size_t j = 0; j < job_index.size(); ++j) job_index[j] = j;
   std::vector<std::optional<sweep::JobRecord>> records(plan.queries.size());
@@ -970,12 +972,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
     return 1;
   }
   sweep::CheckpointWriter ckpt(ckpt_out);
-  if (flags.chunk > 0) {
-    sweep::set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
-  }
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   // The document shape travels with the checkpoint (make_header), not the
   // command line: a --telemetry-json run resumes with telemetry sections
   // automatically, and stays byte-identical to an uninterrupted run.
@@ -991,7 +987,8 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
        .record_global = false,
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = telemetry_json,
-       .trace = trace.has_value() ? &*trace : nullptr});
+       .trace = trace.has_value() ? &*trace : nullptr,
+       .execution = flags.execution});
   std::vector<std::optional<telemetry::JobTelemetry>> telemetry(
       queries.size());
   run_jobs(session, sweep_name, pending, job_index, &ckpt, flags.fail_after,
@@ -1014,7 +1011,7 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
 struct FuzzFlags {
   scenario::FuzzSpec spec;
   int threads = 0;
-  std::optional<FrontierMode> frontier;
+  ExecutionOptions execution;  // --frontier
   std::string trace_path;
 };
 
@@ -1033,13 +1030,7 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_int_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        flags->frontier = frontier_mode_from_name(*v);
-        if (!flags->frontier.has_value()) {
-          std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
-                       "'sparse', got '"
-                    << *v << "'\n";
-          return false;
-        }
+        if (!parse_frontier(*v, &flags->execution.frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
         if (v->empty()) {
           std::cerr << "topocon: --trace needs a non-empty path\n";
@@ -1098,9 +1089,6 @@ std::string describe_divergence(const SolvabilityResult& oracle,
 /// file comment). Exit 0 = every point agrees, 1 = divergence or a point
 /// failed to build, 2 = usage error.
 int cmd_fuzz(const FuzzFlags& flags) {
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   std::vector<FamilyPoint> points;
   try {
     points = scenario::fuzz_points(flags.spec);
@@ -1111,6 +1099,10 @@ int cmd_fuzz(const FuzzFlags& flags) {
   const SolvabilityOptions options =
       scenario::fuzz_solve_options(flags.spec.n);
   sweep::ThreadPool pool(flags.threads);
+  ExecutionOptions on_pool = flags.execution;
+  on_pool.parallel_for = sweep::parallel_for_of(pool);
+  ExecutionOptions finest = on_pool;
+  finest.chunk_states = 1;
   std::ofstream trace_out;
   std::optional<telemetry::TraceWriter> trace;
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
@@ -1156,23 +1148,15 @@ int cmd_fuzz(const FuzzFlags& flags) {
       oracle = timed("oracle", [&] {
         return check_solvability_oracle(*adversary, leg_options);
       });
-      sweep::ShardingOptions finest;
-      finest.chunk_states = 1;
       const struct {
         const char* name;
         SolvabilityResult result;
       } candidates[] = {
-          {"serial FrontierEngine", timed("serial", [&] {
-             return check_solvability(*adversary, leg_options);
+          {"engine (chunk=1)", timed("parallel-chunk1", [&] {
+             return check_solvability(*adversary, leg_options, finest);
            })},
-          {"parallel (chunk=1)", timed("parallel-chunk1", [&] {
-             return sweep::parallel_check_solvability(
-                 *adversary, leg_options, pool, {}, finest);
-           })},
-          {"parallel (chunk=default)", timed("parallel-default", [&] {
-             return sweep::parallel_check_solvability(
-                 *adversary, leg_options, pool, {},
-                 sweep::ShardingOptions{});
+          {"engine (chunk=default)", timed("parallel-default", [&] {
+             return check_solvability(*adversary, leg_options, on_pool);
            })},
       };
       for (const auto& candidate : candidates) {
@@ -1217,8 +1201,7 @@ int cmd_fuzz(const FuzzFlags& flags) {
     trace.reset();
     std::cerr << "topocon: wrote trace " << flags.trace_path << "\n";
   }
-  std::cout << "OK: oracle, serial, and parallel checkers agree on every "
-               "point\n";
+  std::cout << "OK: oracle and engine checkers agree on every point\n";
   return 0;
 }
 
