@@ -58,7 +58,8 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   }
 
   std::vector<sweep::JobOutcome> outcomes =
-      sweep::run_sweep_on(spec, pool_, hooks, options_.execution);
+      sweep::run_sweep_on(spec, pool_, hooks, options_.chunk_states,
+                          options_.frontier);
 
   std::vector<sweep::JobRecord> records;
   records.reserve(outcomes.size());

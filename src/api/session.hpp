@@ -72,10 +72,9 @@ struct SessionOptions {
   /// collect_telemetry. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;
   /// Chunk size and frontier mode of every job (`topocon --chunk`,
-  /// `--frontier`). Results never depend on them. Each job runs on the
-  /// session pool and streams its chunks to the Observer, so the engine
-  /// replaces `parallel_for` and `on_chunk` (sweep::run_sweep_on).
-  ExecutionOptions execution = {};
+  /// `--frontier`; see ExecutionOptions). Results never depend on them.
+  std::size_t chunk_states = ExecutionOptions{}.chunk_states;
+  FrontierMode frontier = ExecutionOptions{}.frontier;
 };
 
 /// Streaming view of a running Session (see the header comment).

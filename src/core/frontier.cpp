@@ -306,7 +306,6 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
         static_cast<std::uint32_t>(ids.size());
   }
 
-  level_sizes_.push_back(start.size());
   if (options_.keep_levels) {
     first_parent_.push_back(
         std::vector<std::pair<int, int>>(start.size(), {-1, -1}));
@@ -945,7 +944,6 @@ void FrontierEngine::commit(PendingFrontier level) {
                                   0, codec.q_bits)];
   }
   ++level_;
-  level_sizes_.push_back(count);
   if (options_.keep_levels) {
     children_.push_back(std::move(level.children));
     first_parent_.push_back(std::move(parents));
@@ -959,20 +957,6 @@ void FrontierEngine::commit(PendingFrontier level) {
     options_.metrics->add_pending(level.stats);
     options_.metrics->add_commit(count, interner_->size() - views_before);
   }
-}
-
-bool FrontierEngine::advance(std::size_t chunk_states) {
-  std::vector<PendingFrontier> expansions;
-  for (const FrontierChunk& chunk : partition(chunk_states)) {
-    expansions.push_back(expand(chunk));
-  }
-  PendingFrontier level = merge(std::move(expansions));
-  if (level.overflow) {
-    truncated_ = true;
-    return false;
-  }
-  commit(std::move(level));
-  return true;
 }
 
 }  // namespace topocon

@@ -344,13 +344,6 @@ class FrontierEngine {
   /// global budget); the frontier keeps the last complete level.
   void mark_truncated() { truncated_ = true; }
 
-  /// Serial convenience: partition + expand + merge + commit in one
-  /// call. Returns false (and marks truncated) on overflow.
-  bool advance(std::size_t chunk_states = 0);
-
-  /// Sizes of every committed level, 0..level().
-  const std::vector<std::size_t>& level_sizes() const { return level_sizes_; }
-
   // History, recorded only under options.keep_levels; indexed like the
   // corresponding DepthAnalysis members restricted to this shard. Without
   // keep_levels, levels() holds just the current frontier.
@@ -393,7 +386,6 @@ class FrontierEngine {
   std::vector<std::uint32_t> frontier_distinct_;
   int level_ = 0;
   bool truncated_ = false;
-  std::vector<std::size_t> level_sizes_;
   /// Never empty: back() is the current frontier.
   std::vector<FlatLevel> levels_;
   std::vector<std::vector<std::pair<int, int>>> first_parent_;

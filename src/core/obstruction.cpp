@@ -17,7 +17,7 @@ std::vector<BivalencePoint> bivalence_series(const MessageAdversary& adversary,
   options.num_values = num_values;
   options.max_states = max_states;
   std::vector<BivalencePoint> series;
-  for (const DepthStats& stats : depth_series(adversary, options)) {
+  for (const DepthStats& stats : analyze_series(adversary, options)) {
     series.push_back({stats.depth, stats.num_leaf_classes,
                       stats.num_components, stats.merged_components});
   }

@@ -146,10 +146,10 @@ DepthStats depth_stats(const DepthAnalysis& analysis) {
   return stats;
 }
 
-std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
-                                     const AnalysisOptions& options,
-                                     const ExecutionOptions& execution,
-                                     const DepthProgressFn& on_depth) {
+std::vector<DepthStats> analyze_series(const MessageAdversary& adversary,
+                                       const AnalysisOptions& options,
+                                       const ExecutionOptions& execution,
+                                       const DepthProgressFn& on_depth) {
   std::vector<DepthStats> series;
   auto interner = std::make_shared<ViewInterner>();
   for (int depth = 1; depth <= options.depth; ++depth) {

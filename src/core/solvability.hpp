@@ -126,9 +126,9 @@ DepthStats depth_stats(const DepthAnalysis& analysis);
 /// separation: every depth is analyzed without levels, with one interner
 /// shared across depths, and the series stops at the first truncated
 /// depth. Streams each entry to `on_depth` as it completes.
-std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
-                                     const AnalysisOptions& options,
-                                     const ExecutionOptions& execution = {},
-                                     const DepthProgressFn& on_depth = {});
+std::vector<DepthStats> analyze_series(const MessageAdversary& adversary,
+                                       const AnalysisOptions& options,
+                                       const ExecutionOptions& execution = {},
+                                       const DepthProgressFn& on_depth = {});
 
 }  // namespace topocon

@@ -226,7 +226,8 @@ int default_num_threads() {
 
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
                                      const SweepHooks& hooks,
-                                     const ExecutionOptions& execution) {
+                                     std::size_t chunk_states,
+                                     FrontierMode frontier) {
   std::vector<JobOutcome> outcomes(spec.jobs.size());
   std::mutex hook_mutex;
 
@@ -257,9 +258,9 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
         hooks.on_depth(j, stats);
       };
     }
-    ExecutionOptions job_execution = execution;
-    job_execution.parallel_for = parallel_for_of(pool);
-    job_execution.on_chunk = nullptr;
+    ExecutionOptions job_execution{.parallel_for = parallel_for_of(pool),
+                                   .chunk_states = chunk_states,
+                                   .frontier = frontier};
     if (hooks.on_chunk) {
       job_execution.on_chunk = [&, j](const ChunkProgress& progress) {
         const std::lock_guard<std::mutex> lock(hook_mutex);
@@ -282,7 +283,7 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       AnalysisOptions series = job.analysis;
       if (registry.has_value()) series.metrics = &*registry;
       outcome.series =
-          depth_series(*adversary, series, job_execution, on_depth);
+          analyze_series(*adversary, series, job_execution, on_depth);
     }
     outcome.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

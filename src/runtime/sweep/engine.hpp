@@ -137,12 +137,13 @@ struct SweepHooks {
 /// like spec.jobs; interners inside the outcomes are re-homed to the
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
-/// own history). Every job expands with `execution`'s chunk size and
-/// frontier mode; the engine binds its parallel_for to `pool` and its
-/// on_chunk to hooks.on_chunk, replacing whatever those held.
-std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
-                                     const SweepHooks& hooks = {},
-                                     const ExecutionOptions& execution = {});
+/// own history). Every job expands on `pool` with `chunk_states` per
+/// chunk and `frontier` dedup (ExecutionOptions) and streams its chunks
+/// to hooks.on_chunk.
+std::vector<JobOutcome> run_sweep_on(
+    const SweepSpec& spec, ThreadPool& pool, const SweepHooks& hooks = {},
+    std::size_t chunk_states = ExecutionOptions{}.chunk_states,
+    FrontierMode frontier = ExecutionOptions{}.frontier);
 
 /// Default thread count for api::Session and the examples: set from
 /// --sweep-threads; 0 (the initial value) resolves to

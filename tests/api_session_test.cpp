@@ -170,7 +170,7 @@ TEST(ApiSession, ObserverStreamsChunkProgressAndItNeverChangesResults) {
   base.run("chunked", mixed_queries());
   Session session({.num_threads = 2,
                    .record_global = false,
-                   .execution = {.chunk_states = 1}});
+                   .chunk_states = 1});
   ChunkObserver observer;
   session.run("chunked", mixed_queries(), &observer);
   EXPECT_GT(observer.chunk_events, 0);
@@ -194,7 +194,7 @@ TEST(ApiSession, ChunkSizeDoesNotLeakIntoLaterSessions) {
 
   Session finest({.num_threads = 2,
                   .record_global = false,
-                  .execution = {.chunk_states = 1}});
+                  .chunk_states = 1});
   ChunkTotals fine;
   finest.run("chunks", queries, &fine);
   Session standard({.num_threads = 2, .record_global = false});

@@ -27,6 +27,7 @@
 #include "core/epsilon_approx.hpp"
 #include "core/frontier.hpp"
 #include "core/solvability.hpp"
+#include "engine_steps.hpp"
 #include "graph/enumerate.hpp"
 #include "ptg/prefix.hpp"
 #include "runtime/sweep/thread_pool.hpp"
@@ -74,7 +75,9 @@ LevelFacts level_facts(const MessageAdversary& adversary, int level,
     ViewInterner interner;
     FrontierEngine engine(adversary, options, interner, static_cast<int>(r),
                           static_cast<int>(r) + 1, FrontierMode::kAuto);
-    for (int s = 1; s < level; ++s) engine.advance(chunk_states);
+    for (int s = 1; s < level; ++s) {
+      test_support::advance_level(engine, chunk_states);
+    }
     facts.previous += engine.frontier().size();
     std::uint64_t largest = 0;
     bool first = true;
@@ -87,7 +90,7 @@ LevelFacts level_facts(const MessageAdversary& adversary, int level,
       ++facts.chunks;
     }
     facts.lower_bound += largest;
-    engine.advance(chunk_states);
+    test_support::advance_level(engine, chunk_states);
     facts.merged += engine.frontier().size();
   }
   return facts;

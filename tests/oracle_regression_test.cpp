@@ -1,10 +1,11 @@
 // Oracle regression tables: the paper results reproduced by this library,
-// pinned as explicit EXPECT_EQ tables against BOTH the serial checker and
-// the parallel sweep engine, so an engine or checker refactor cannot
-// silently flip a reproduced ground truth. Sources: Santoro-Widmayer [21]
-// and CGP [8] for the lossy link, [21, 22] for per-round omissions,
-// Biely et al. [6] / Winkler et al. [23] for VSSC, Charron-Bost &
-// Schiper [7] for Heard-Of.
+// pinned as explicit EXPECT_EQ tables against BOTH the reference checker
+// (check_solvability_oracle, the single-scan expansion) and the engine
+// run as a sweep through the api facade, so an engine or checker refactor
+// cannot silently flip a reproduced ground truth. Sources:
+// Santoro-Widmayer [21] and CGP [8] for the lossy link, [21, 22] for
+// per-round omissions, Biely et al. [6] / Winkler et al. [23] for VSSC,
+// Charron-Bost & Schiper [7] for Heard-Of.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -25,15 +26,15 @@ struct PinnedRow {
 
 void check_rows(const std::vector<PinnedRow>& rows,
                 const SolvabilityOptions& options) {
-  // Serial checker.
+  // Reference checker.
   for (const PinnedRow& row : rows) {
     const auto ma = make_family_adversary(row.point);
-    const SolvabilityResult result = check_solvability(*ma, options);
+    const SolvabilityResult result = check_solvability_oracle(*ma, options);
     EXPECT_EQ(result.verdict, row.verdict) << family_point_label(row.point);
     EXPECT_EQ(result.certified_depth, row.certified_depth)
         << family_point_label(row.point);
   }
-  // Parallel engine, all rows as one sweep through the api facade.
+  // Engine, all rows as one sweep through the api facade.
   api::Session session({.record_global = false});
   std::vector<api::Query> queries;
   for (const PinnedRow& row : rows) {

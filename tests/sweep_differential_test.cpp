@@ -1,11 +1,13 @@
-// Randomized differential test of the parallel sweep engine: ~200 random
+// Randomized differential test of the chunk-sharded engine: ~200 random
 // compact (oblivious) adversaries with n <= 3 and depth <= 4, each checked
-// by the serial solvability checker and by the parallel engine at a
-// rotating thread count. Verdicts, per-depth statistics, leaf partitions,
-// and component structures must agree exactly (the engine's contract is
-// bit-identical results, not just equal verdicts).
+// by the reference checker (check_solvability_oracle, the single-scan
+// expansion) and by the engine, inline and on a pool at a rotating thread
+// count. Verdicts, per-depth statistics, leaf partitions, and component
+// structures must agree exactly (the engine's contract is bit-identical
+// results, not just equal verdicts).
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,18 +39,18 @@ std::unique_ptr<ObliviousAdversary> random_oblivious(std::mt19937& rng,
                                               "random-oblivious");
 }
 
-void expect_equal_results(const SolvabilityResult& serial,
-                          const SolvabilityResult& parallel,
-                          int case_index) {
-  ASSERT_EQ(parallel.verdict, serial.verdict) << "case " << case_index;
-  EXPECT_EQ(parallel.certified_depth, serial.certified_depth)
-      << "case " << case_index;
-  ASSERT_EQ(parallel.per_depth.size(), serial.per_depth.size());
-  for (std::size_t d = 0; d < serial.per_depth.size(); ++d) {
-    const DepthStats& a = serial.per_depth[d];
-    const DepthStats& b = parallel.per_depth[d];
+void expect_equal_results(const SolvabilityResult& reference,
+                          const SolvabilityResult& candidate,
+                          const std::string& what) {
+  ASSERT_EQ(candidate.verdict, reference.verdict) << "case " << what;
+  EXPECT_EQ(candidate.certified_depth, reference.certified_depth)
+      << "case " << what;
+  ASSERT_EQ(candidate.per_depth.size(), reference.per_depth.size());
+  for (std::size_t d = 0; d < reference.per_depth.size(); ++d) {
+    const DepthStats& a = reference.per_depth[d];
+    const DepthStats& b = candidate.per_depth[d];
     EXPECT_EQ(a.num_leaf_classes, b.num_leaf_classes)
-        << "case " << case_index << " depth " << a.depth;
+        << "case " << what << " depth " << a.depth;
     EXPECT_EQ(a.num_components, b.num_components);
     EXPECT_EQ(a.merged_components, b.merged_components);
     EXPECT_EQ(a.separated, b.separated);
@@ -56,13 +58,13 @@ void expect_equal_results(const SolvabilityResult& serial,
     EXPECT_EQ(a.strong_assignable, b.strong_assignable);
     EXPECT_EQ(a.interner_views, b.interner_views);
   }
-  ASSERT_EQ(parallel.analysis.has_value(), serial.analysis.has_value());
-  if (serial.analysis.has_value()) {
-    const DepthAnalysis& sa = *serial.analysis;
-    const DepthAnalysis& pa = *parallel.analysis;
+  ASSERT_EQ(candidate.analysis.has_value(), reference.analysis.has_value());
+  if (reference.analysis.has_value()) {
+    const DepthAnalysis& sa = *reference.analysis;
+    const DepthAnalysis& pa = *candidate.analysis;
     EXPECT_EQ(pa.depth, sa.depth);
     EXPECT_EQ(pa.truncated, sa.truncated);
-    EXPECT_EQ(pa.leaf_component, sa.leaf_component) << "case " << case_index;
+    EXPECT_EQ(pa.leaf_component, sa.leaf_component) << "case " << what;
     ASSERT_EQ(pa.components.size(), sa.components.size());
     for (std::size_t c = 0; c < sa.components.size(); ++c) {
       const ComponentInfo& x = sa.components[c];
@@ -76,12 +78,12 @@ void expect_equal_results(const SolvabilityResult& serial,
       EXPECT_EQ(x.assigned_value_strong, y.assigned_value_strong);
     }
   }
-  ASSERT_EQ(parallel.table.has_value(), serial.table.has_value());
-  if (serial.table.has_value()) {
-    EXPECT_EQ(parallel.table->size(), serial.table->size());
-    EXPECT_EQ(parallel.table->worst_case_decision_round(),
-              serial.table->worst_case_decision_round());
-    EXPECT_EQ(parallel.table->depth(), serial.table->depth());
+  ASSERT_EQ(candidate.table.has_value(), reference.table.has_value());
+  if (reference.table.has_value()) {
+    EXPECT_EQ(candidate.table->size(), reference.table->size());
+    EXPECT_EQ(candidate.table->worst_case_decision_round(),
+              reference.table->worst_case_decision_round());
+    EXPECT_EQ(candidate.table->depth(), reference.table->depth());
   }
 }
 
@@ -98,11 +100,14 @@ TEST(SweepDifferential, RandomCompactAdversaries) {
     options.build_table = (rng() % 2) == 0;
     options.strong_validity = (rng() % 4) == 0;
 
-    const SolvabilityResult serial = check_solvability(*ma, options);
+    const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
+    const SolvabilityResult inline_run = check_solvability(*ma, options);
     sweep::ThreadPool pool(2 + static_cast<int>(i % 3));
     const SolvabilityResult parallel = check_solvability(
         *ma, options, {.parallel_for = sweep::parallel_for_of(pool)});
-    expect_equal_results(serial, parallel, i);
+    const std::string what = std::to_string(i);
+    expect_equal_results(oracle, inline_run, what + " (oracle vs inline)");
+    expect_equal_results(oracle, parallel, what + " (oracle vs pool)");
   }
 }
 

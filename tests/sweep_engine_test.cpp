@@ -1,6 +1,7 @@
 // Unit tests for the parallel sweep engine: thread-pool semantics
 // (including nesting), exact agreement of the chunk-sharded depth
-// analysis on a pool with the inline one (at several forced chunk sizes),
+// analysis with the single-scan reference (analyze_depth_oracle) and of
+// pooled runs with the inline one (at several forced chunk sizes),
 // SweepSpec execution with deterministic result ordering, and
 // byte-identical JSON across thread counts.
 #include <atomic>
@@ -75,7 +76,10 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(sweep::resolve_threads(0), 1);
 }
 
-// ---- analyze_depth on a pool vs inline ---------------------------------
+// ---- analyze_depth vs the reference scan --------------------------------
+//
+// "Serial" in the test names below is the single-scan reference
+// expansion, analyze_depth_oracle / check_solvability_oracle.
 
 /// Runs the analysis loops on `pool` with `chunk_states` per chunk.
 ExecutionOptions on_pool(ThreadPool& pool,
@@ -85,12 +89,34 @@ ExecutionOptions on_pool(ThreadPool& pool,
           .chunk_states = chunk_states};
 }
 
-// Inline and pooled runs drive the same per-root engines and absorb the
-// root interners in the same order, so every field -- view ids
-// included -- is identical.
-void expect_analysis_equal(const DepthAnalysis& serial,
+/// The reference analysis (analyze_depth_oracle, the single-scan
+/// expansion) and the engine's inline run of the same depth.
+struct Reference {
+  DepthAnalysis oracle;
+  DepthAnalysis inline_run;
+};
+
+Reference reference_for(const MessageAdversary& ma,
+                        const AnalysisOptions& options) {
+  Reference reference{analyze_depth_oracle(ma, options),
+                      analyze_depth(ma, options)};
+  test_support::expect_analyses_identical(
+      reference.oracle, reference.inline_run, "oracle vs inline",
+      test_support::ViewIds::kRelabeled, /*a_is_reference_scan=*/true);
+  return reference;
+}
+
+// The oracle interns level by level across all roots while the engine
+// absorbs root by root, so view ids are a consistent relabeling of each
+// other and every other field is identical. Inline and pooled engine runs
+// absorb the root interners in the same order, so between those two the
+// view ids agree exactly as well.
+void expect_analysis_equal(const Reference& reference,
                            const DepthAnalysis& parallel) {
-  test_support::expect_analyses_identical(serial, parallel,
+  test_support::expect_analyses_identical(
+      reference.oracle, parallel, "oracle vs pool",
+      test_support::ViewIds::kRelabeled, /*a_is_reference_scan=*/true);
+  test_support::expect_analyses_identical(reference.inline_run, parallel,
                                           "inline vs pool",
                                           test_support::ViewIds::kExact);
 }
@@ -102,11 +128,11 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
       AnalysisOptions options;
       options.depth = 4;
       options.keep_levels = keep_levels;
-      const DepthAnalysis serial = analyze_depth(*ma, options);
+      const Reference reference = reference_for(*ma, options);
       for (const int threads : {1, 2, 4}) {
         ThreadPool pool(threads);
         expect_analysis_equal(
-            serial, analyze_depth(*ma, options, nullptr, on_pool(pool)));
+            reference, analyze_depth(*ma, options, nullptr, on_pool(pool)));
       }
     }
   }
@@ -114,18 +140,18 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
 
 TEST(ParallelAnalyze, MatchesSerialAtEveryChunkSize) {
   // Sub-root sharding forced down to one-state chunks must reproduce the
-  // inline analysis exactly -- including tree links and multiplicities.
+  // reference analysis exactly -- including tree links and multiplicities.
   const auto ma = make_lossy_link(0b111);
   AnalysisOptions options;
   options.depth = 4;
   options.keep_levels = true;
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const Reference reference = reference_for(*ma, options);
   for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{2},
                                          std::size_t{7}, std::size_t{64}}) {
     for (const int threads : {1, 3}) {
       ThreadPool pool(threads);
       expect_analysis_equal(
-          serial,
+          reference,
           analyze_depth(*ma, options, nullptr, on_pool(pool, chunk_states)));
     }
   }
@@ -137,12 +163,12 @@ TEST(ParallelAnalyze, MatchesSerialOnOmissionN3) {
   options.depth = 2;
   options.max_states = 6'000'000;
   options.keep_levels = false;
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const Reference reference = reference_for(*ma, options);
   ThreadPool pool(3);
-  expect_analysis_equal(serial,
+  expect_analysis_equal(reference,
                         analyze_depth(*ma, options, nullptr, on_pool(pool)));
   expect_analysis_equal(
-      serial, analyze_depth(*ma, options, nullptr, on_pool(pool, 1)));
+      reference, analyze_depth(*ma, options, nullptr, on_pool(pool, 1)));
 }
 
 TEST(ParallelAnalyze, TruncationMatchesSerial) {
@@ -150,8 +176,8 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
   AnalysisOptions options;
   options.depth = 6;
   options.max_states = 50;  // overflows at some level > 1
-  const DepthAnalysis serial = analyze_depth(*ma, options);
-  ASSERT_TRUE(serial.truncated);
+  const Reference reference = reference_for(*ma, options);
+  ASSERT_TRUE(reference.oracle.truncated);
   for (const std::size_t chunk_states :
        {ExecutionOptions{}.chunk_states, std::size_t{1}}) {
     for (const int threads : {1, 3}) {
@@ -159,8 +185,7 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
       const DepthAnalysis parallel = analyze_depth(
           *ma, options, nullptr, on_pool(pool, chunk_states));
       EXPECT_TRUE(parallel.truncated);
-      EXPECT_EQ(parallel.depth, serial.depth);
-      EXPECT_EQ(parallel.leaves().size(), serial.leaves().size());
+      expect_analysis_equal(reference, parallel);
     }
   }
 }
@@ -178,8 +203,7 @@ TEST(ParallelAnalyze, ChunkProgressCountsEveryChunkOfEveryLevel) {
   };
   const DepthAnalysis analysis =
       analyze_depth(*ma, options, nullptr, execution);
-  const DepthAnalysis serial = analyze_depth(*ma, options);
-  expect_analysis_equal(serial, analysis);
+  expect_analysis_equal(reference_for(*ma, options), analysis);
 
   // Per level: chunks_done runs 1..chunks_total, and at least one level
   // of this skewed workload splits a root into several chunks (more
@@ -209,26 +233,24 @@ TEST(ParallelCheck, AgreesWithSerialVerdicts) {
     const auto ma = make_lossy_link(mask);
     SolvabilityOptions options;
     options.max_depth = 5;
-    const SolvabilityResult serial = check_solvability(*ma, options);
+    const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
     ThreadPool pool(2);
     const SolvabilityResult parallel =
         check_solvability(*ma, options, on_pool(pool));
-    EXPECT_EQ(parallel.verdict, serial.verdict);
-    EXPECT_EQ(parallel.certified_depth, serial.certified_depth);
-    EXPECT_EQ(parallel.per_depth.size(), serial.per_depth.size());
-    for (std::size_t d = 0; d < serial.per_depth.size(); ++d) {
-      EXPECT_EQ(parallel.per_depth[d].num_leaf_classes,
-                serial.per_depth[d].num_leaf_classes);
-      EXPECT_EQ(parallel.per_depth[d].num_components,
-                serial.per_depth[d].num_components);
-      EXPECT_EQ(parallel.per_depth[d].interner_views,
-                serial.per_depth[d].interner_views);
+    EXPECT_EQ(parallel.verdict, oracle.verdict);
+    EXPECT_EQ(parallel.certified_depth, oracle.certified_depth);
+    EXPECT_EQ(parallel.per_depth, oracle.per_depth);
+    ASSERT_EQ(parallel.analysis.has_value(), oracle.analysis.has_value());
+    if (oracle.analysis.has_value()) {
+      test_support::expect_analyses_identical(
+          *oracle.analysis, *parallel.analysis, "oracle vs pool",
+          test_support::ViewIds::kRelabeled, /*a_is_reference_scan=*/true);
     }
-    EXPECT_EQ(parallel.table.has_value(), serial.table.has_value());
-    if (serial.table.has_value()) {
-      EXPECT_EQ(parallel.table->size(), serial.table->size());
+    EXPECT_EQ(parallel.table.has_value(), oracle.table.has_value());
+    if (oracle.table.has_value()) {
+      EXPECT_EQ(parallel.table->size(), oracle.table->size());
       EXPECT_EQ(parallel.table->worst_case_decision_round(),
-                serial.table->worst_case_decision_round());
+                oracle.table->worst_case_decision_round());
     }
   }
 }
@@ -295,9 +317,9 @@ std::string spec_json(const std::vector<JobOutcome>& outcomes) {
 }
 
 std::vector<JobOutcome> run_small_spec(
-    int threads, const ExecutionOptions& execution = {}) {
+    int threads, std::size_t chunk_states = ExecutionOptions{}.chunk_states) {
   ThreadPool pool(threads);
-  return sweep::run_sweep_on(small_spec(), pool, {}, execution);
+  return sweep::run_sweep_on(small_spec(), pool, {}, chunk_states);
 }
 
 TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
@@ -317,7 +339,7 @@ TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
 TEST(RunSweepOn, JsonIdenticalUnderFinestChunking) {
   const std::string base_json = spec_json(run_small_spec(2));
   const std::string chunked_json =
-      spec_json(run_small_spec(2, {.chunk_states = 1}));
+      spec_json(run_small_spec(2, 1));
   EXPECT_EQ(chunked_json, base_json);
 }
 

@@ -3,7 +3,8 @@
 // stress/TSan lanes). Repeats the acceptance checks at full scale: the
 // E5-style omission family sweep must produce byte-identical JSON at 1
 // thread, 8 threads, and hardware_concurrency, and heavyweight analyses
-// must match the serial checker exactly under thread oversubscription.
+// must match the single-scan reference exactly under thread
+// oversubscription.
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/family.hpp"
+#include "analysis_compare.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/thread_pool.hpp"
@@ -53,22 +55,22 @@ TEST(SweepStress, OmissionBenchJsonByteIdenticalAcrossThreadCounts) {
 }
 
 // Deep windowed analysis (26k leaf classes at w = 1) under an
-// oversubscribed pool: exact agreement with the serial analysis.
+// oversubscribed pool: exact agreement with the reference analysis
+// (analyze_depth_oracle, the single-scan expansion).
 TEST(SweepStress, DeepWindowedAnalysisMatchesSerialOversubscribed) {
   const auto ma = make_family_adversary({"windowed_lossy_link", 2, 1});
   AnalysisOptions options;
   options.depth = 8;
   options.keep_levels = false;
   options.max_states = 6'000'000;
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const DepthAnalysis oracle = analyze_depth_oracle(*ma, options);
   const int hw = sweep::resolve_threads(0);
   sweep::ThreadPool pool(2 * hw + 1);
   const DepthAnalysis parallel = analyze_depth(
       *ma, options, nullptr, {.parallel_for = sweep::parallel_for_of(pool)});
-  EXPECT_EQ(parallel.leaf_component, serial.leaf_component);
-  EXPECT_EQ(parallel.components.size(), serial.components.size());
-  EXPECT_EQ(parallel.merged_components, serial.merged_components);
-  EXPECT_EQ(parallel.valence_separated, serial.valence_separated);
+  test_support::expect_analyses_identical(
+      oracle, parallel, "oracle vs oversubscribed pool",
+      test_support::ViewIds::kRelabeled, /*a_is_reference_scan=*/true);
 }
 
 // Repeated mixed-family sweeps: run the same heterogeneous spec many

@@ -4,10 +4,10 @@
 // where requested) -- across input-domain sizes, window sizes, and
 // adversary parameters.
 //
-// Every sweep is additionally re-run through the parallel engine at 1, 2,
-// and hardware_concurrency() threads; component counts, valence sets, and
-// verdicts must be bit-identical to the serial checker at every thread
-// count (the engine's determinism contract).
+// Every sweep is additionally re-run on a thread pool at 1, 2, and
+// hardware_concurrency() threads; component counts, valence sets, and
+// verdicts must be bit-identical to the inline run at every thread count
+// (the engine's determinism contract).
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -30,22 +30,22 @@
 namespace topocon {
 namespace {
 
-// Engine determinism: the parallel checker must reproduce the serial
+// Engine determinism: the pooled checker must reproduce the inline
 // result bit-for-bit at every thread count.
 void expect_parallel_matches(const MessageAdversary& ma,
                              const SolvabilityOptions& options,
-                             const SolvabilityResult& serial) {
+                             const SolvabilityResult& inline_run) {
   const int hw = sweep::resolve_threads(0);
   for (const int threads : {1, 2, hw}) {
     sweep::ThreadPool pool(threads);
     const SolvabilityResult parallel = check_solvability(
         ma, options, {.parallel_for = sweep::parallel_for_of(pool)});
-    ASSERT_EQ(parallel.verdict, serial.verdict)
+    ASSERT_EQ(parallel.verdict, inline_run.verdict)
         << ma.name() << " at " << threads << " threads";
-    EXPECT_EQ(parallel.certified_depth, serial.certified_depth);
-    ASSERT_EQ(parallel.per_depth.size(), serial.per_depth.size());
-    for (std::size_t d = 0; d < serial.per_depth.size(); ++d) {
-      const DepthStats& a = serial.per_depth[d];
+    EXPECT_EQ(parallel.certified_depth, inline_run.certified_depth);
+    ASSERT_EQ(parallel.per_depth.size(), inline_run.per_depth.size());
+    for (std::size_t d = 0; d < inline_run.per_depth.size(); ++d) {
+      const DepthStats& a = inline_run.per_depth[d];
       const DepthStats& b = parallel.per_depth[d];
       EXPECT_EQ(a.num_leaf_classes, b.num_leaf_classes);
       EXPECT_EQ(a.num_components, b.num_components);
@@ -54,9 +54,9 @@ void expect_parallel_matches(const MessageAdversary& ma,
       EXPECT_EQ(a.valent_broadcastable, b.valent_broadcastable);
       EXPECT_EQ(a.strong_assignable, b.strong_assignable);
     }
-    ASSERT_EQ(parallel.analysis.has_value(), serial.analysis.has_value());
-    if (serial.analysis.has_value()) {
-      const DepthAnalysis& sa = *serial.analysis;
+    ASSERT_EQ(parallel.analysis.has_value(), inline_run.analysis.has_value());
+    if (inline_run.analysis.has_value()) {
+      const DepthAnalysis& sa = *inline_run.analysis;
       const DepthAnalysis& pa = *parallel.analysis;
       EXPECT_EQ(pa.leaf_component, sa.leaf_component);
       ASSERT_EQ(pa.components.size(), sa.components.size());

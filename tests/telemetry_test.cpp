@@ -172,7 +172,7 @@ TEST(Telemetry, BudgetAbortCountersIdenticalAcrossThreadCounts) {
   }
 }
 
-// The serial checker reports through the same registry type.
+// The inline checker (no pool) reports through the same registry type.
 TEST(Telemetry, SerialCheckerFillsRegistry) {
   MetricsRegistry registry;
   SolvabilityOptions options;

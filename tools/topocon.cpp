@@ -260,7 +260,8 @@ enum class Format { kTable, kCsv };
 
 struct RunFlags {
   int threads = 0;
-  ExecutionOptions execution;  // --chunk, --frontier
+  std::size_t chunk_states = ExecutionOptions{}.chunk_states;  // --chunk
+  FrontierMode frontier = ExecutionOptions{}.frontier;         // --frontier
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -298,9 +299,9 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
           std::cerr << "topocon: --chunk must be >= 1\n";
           return false;
         }
-        flags->execution.chunk_states = static_cast<std::size_t>(chunk);
+        flags->chunk_states = static_cast<std::size_t>(chunk);
       } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        if (!parse_frontier(*v, &flags->execution.frontier)) return false;
+        if (!parse_frontier(*v, &flags->frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "json")) {
         if (v->empty()) {
           std::cerr << "topocon: --json needs a non-empty path\n";
@@ -796,7 +797,8 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = flags.telemetry_json,
        .trace = trace.has_value() ? &*trace : nullptr,
-       .execution = flags.execution});
+       .chunk_states = flags.chunk_states,
+       .frontier = flags.frontier});
   std::vector<std::size_t> job_index(plan.queries.size());
   for (std::size_t j = 0; j < job_index.size(); ++j) job_index[j] = j;
   std::vector<std::optional<sweep::JobRecord>> records(plan.queries.size());
@@ -988,7 +990,8 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = telemetry_json,
        .trace = trace.has_value() ? &*trace : nullptr,
-       .execution = flags.execution});
+       .chunk_states = flags.chunk_states,
+       .frontier = flags.frontier});
   std::vector<std::optional<telemetry::JobTelemetry>> telemetry(
       queries.size());
   run_jobs(session, sweep_name, pending, job_index, &ckpt, flags.fail_after,
@@ -1011,7 +1014,7 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
 struct FuzzFlags {
   scenario::FuzzSpec spec;
   int threads = 0;
-  ExecutionOptions execution;  // --frontier
+  FrontierMode frontier = ExecutionOptions{}.frontier;  // --frontier
   std::string trace_path;
 };
 
@@ -1030,7 +1033,7 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_int_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        if (!parse_frontier(*v, &flags->execution.frontier)) return false;
+        if (!parse_frontier(*v, &flags->frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
         if (v->empty()) {
           std::cerr << "topocon: --trace needs a non-empty path\n";
@@ -1099,8 +1102,8 @@ int cmd_fuzz(const FuzzFlags& flags) {
   const SolvabilityOptions options =
       scenario::fuzz_solve_options(flags.spec.n);
   sweep::ThreadPool pool(flags.threads);
-  ExecutionOptions on_pool = flags.execution;
-  on_pool.parallel_for = sweep::parallel_for_of(pool);
+  const ExecutionOptions on_pool{.parallel_for = sweep::parallel_for_of(pool),
+                                 .frontier = flags.frontier};
   ExecutionOptions finest = on_pool;
   finest.chunk_states = 1;
   std::ofstream trace_out;
