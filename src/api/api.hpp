@@ -66,10 +66,9 @@
 // Queries round-trip through JSON (query_to_json / query_from_json), so
 // checkpoints carry the full job description and sweeps can be replayed
 // from their artifacts alone. Results are bit-identical at every thread
-// count, chunk size, and frontier mode (SessionOptions::chunk_states,
-// SessionOptions::frontier) and independent of session history. An
-// api::Observer streams job/depth/chunk progress while a run executes;
-// observers can never change results.
+// count and chunk size (SessionOptions::chunk_states) and independent
+// of session history. An api::Observer streams job/depth/chunk progress
+// while a run executes; observers can never change results.
 #pragma once
 
 #include "api/query.hpp"    // IWYU pragma: export

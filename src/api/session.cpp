@@ -58,8 +58,7 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   }
 
   std::vector<sweep::JobOutcome> outcomes =
-      sweep::run_sweep_on(spec, pool_, hooks, options_.chunk_states,
-                          options_.frontier);
+      sweep::run_sweep_on(spec, pool_, hooks, options_.chunk_states);
 
   std::vector<sweep::JobRecord> records;
   records.reserve(outcomes.size());

@@ -71,10 +71,9 @@ struct SessionOptions {
   /// (telemetry/trace.hpp); must outlive the Session. Non-null implies
   /// collect_telemetry. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;
-  /// Chunk size and frontier mode of every job (`topocon --chunk`,
-  /// `--frontier`; see ExecutionOptions). Results never depend on them.
+  /// Chunk size of every job (`topocon --chunk`; see ExecutionOptions).
+  /// Results never depend on it.
   std::size_t chunk_states = ExecutionOptions{}.chunk_states;
-  FrontierMode frontier = ExecutionOptions{}.frontier;
 };
 
 /// Streaming view of a running Session (see the header comment).

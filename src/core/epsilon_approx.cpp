@@ -512,7 +512,7 @@ DepthAnalysis analyze_depth(const MessageAdversary& adversary,
   run_indexed(execution.parallel_for, num_roots, [&](std::size_t r) {
     shards[r].engine.emplace(adversary, options, *shards[r].interner,
                              static_cast<int>(r), static_cast<int>(r) + 1,
-                             execution.frontier, arenas);
+                             arenas);
   });
 
   // ---- Levels 1..depth, level-synchronous: expand all (root, chunk)

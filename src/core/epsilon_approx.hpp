@@ -62,24 +62,6 @@ class MetricsRegistry;
 ///    imply solvability) -- quantified in bench E6.
 enum class AdjacencyTopology { kMin, kPView };
 
-/// Pending-level dedup representation of the frontier engine
-/// (core/frontier.hpp). An execution detail exactly like the chunk size:
-/// it is never serialized into query JSON and can never change any result
-/// byte -- forced dense, forced sparse, and the per-chunk heuristic all
-/// produce bit-identical analyses (enforced by
-/// tests/frontier_mode_test.cpp and the --frontier golden lanes).
-enum class FrontierMode {
-  /// Per-chunk GBBS-style heuristic: direct-indexed tables when the
-  /// enumerable key space is small relative to the chunk's emissions,
-  /// open-addressed hashing otherwise.
-  kAuto,
-  /// Always the sparse open-addressed WordSeqIndex path.
-  kSparse,
-  /// Direct-indexed tables whenever the chunk's key space is
-  /// representable under the memory cap (falls back to sparse beyond it).
-  kDense,
-};
-
 struct AnalysisOptions {
   /// Prefix depth t; epsilon = 2^-t.
   int depth = 4;
@@ -335,8 +317,6 @@ struct ExecutionOptions {
   /// into ceil(frontier / chunk_states) chunks per level. 1 is the finest
   /// sharding (one chunk per state); 0 gives every root one chunk.
   std::size_t chunk_states = 4096;
-  /// Pending-level dedup representation of every chunk expansion.
-  FrontierMode frontier = FrontierMode::kAuto;
   /// Called once per completed chunk, under an internal mutex and
   /// possibly from parallel_for's threads. Purely observational.
   ChunkProgressFn on_chunk = nullptr;
@@ -367,7 +347,7 @@ struct ExecutionOptions {
 /// preallocated from per-root offset prefix sums, and frees its engine.
 /// The analysis -- levels, links, multiplicities, truncation, components,
 /// and the shared interner's id assignment order -- is therefore the same
-/// for every chunk size, frontier mode, and thread count, and equals
+/// for every chunk size and thread count, and equals
 /// analyze_depth_oracle() below up to a consistent relabeling of view ids.
 ///
 /// Truncation: a level overflows iff its merged size exceeds max_states.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <span>
 #include <unordered_map>
 
@@ -25,97 +24,16 @@ std::size_t hash_words(const std::uint32_t* words, std::size_t count) {
   return h;
 }
 
-/// Hard cap on one direct-indexed table (entries, i.e. 4 bytes each):
-/// above it even a forced kDense chunk falls back to hashing. Bounds the
-/// per-chunk scratch at 8 MiB per table regardless of the key space.
-constexpr std::uint64_t kDenseSlotCap = std::uint64_t{1} << 21;
-
-/// GBBS-style density threshold for kAuto: a key space is "dense enough"
-/// when it is at most this many times the chunk's expected insertions --
-/// then the O(space) table initialization amortizes against the hashing
-/// it replaces.
-constexpr std::uint64_t kDenseHeadroom = 4;
-
-/// Bounds for the pending-state dense path's adversary-state prescan.
-constexpr std::size_t kDenseAdvCap = 1024;
-constexpr std::size_t kDenseAdvTableCap = std::size_t{1} << 16;
-
-constexpr std::uint64_t kSpaceOverflow =
-    std::numeric_limits<std::uint64_t>::max();
-
-std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > kSpaceOverflow / b) return kSpaceOverflow;
-  return a * b;
-}
-
-std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
-  return a > kSpaceOverflow - b ? kSpaceOverflow : a + b;
-}
-
-/// Chunk-local open-addressed map from non-negative int32 keys to int32
-/// values, used by the dense expansion path to assign compact digits to
-/// parent view ids and adversary states. Sized once for a known entry
-/// cap; the caller never inserts more than `max_entries` distinct keys.
-class ScratchMap {
- public:
-  void init(std::size_t max_entries) {
-    std::size_t slots = 16;
-    while (slots < max_entries * 2 + 2) slots <<= 1;
-    keys_.assign(slots, -1);
-    vals_.resize(slots);
-  }
-
-  /// Value of `key`, inserting `fresh` if absent; `*inserted` reports
-  /// which happened.
-  std::int32_t find_or_insert(std::int32_t key, std::int32_t fresh,
-                              bool* inserted) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t pos =
-        (static_cast<std::uint32_t>(key) * 2654435761u) & mask;
-    while (true) {
-      if (keys_[pos] < 0) {
-        keys_[pos] = key;
-        vals_[pos] = fresh;
-        *inserted = true;
-        return fresh;
-      }
-      if (keys_[pos] == key) {
-        *inserted = false;
-        return vals_[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
-  }
-
- private:
-  std::vector<std::int32_t> keys_;
-  std::vector<std::int32_t> vals_;
-};
-
 }  // namespace
 
 /// One arena of chunk-expansion scratch (see ExpandArenas). Every member
 /// is fully re-initialized by the chunk that uses it, so results never
 /// depend on which arena a chunk leased or what it held before.
 struct ExpandScratch {
-  std::vector<std::uint32_t> radix;      // U_p per process
-  std::vector<std::uint64_t> pair_base;  // dense offset per pair
-  std::vector<std::int32_t> dense_view_slot;
-  std::vector<std::int32_t> dense_state_slot;
-  ScratchMap adv_remap;
-  ScratchMap child_remap;
-  ScratchMap view_remap;  // parent view id -> compact per-process digit
-  std::vector<AdvState> advs;
-  std::vector<AdvState> adv_child_value;  // [adv index * alphabet + letter]
-  std::vector<std::int32_t> adv_child_digit;
-  std::vector<std::uint32_t> digits;
-  std::vector<std::int32_t> next_digit;
   std::vector<std::int32_t> memo_val;
   std::vector<std::uint32_t> memo_epoch;
   std::vector<std::uint32_t> view_key;
   std::vector<std::uint32_t> state_key;
-  std::vector<std::uint32_t> view_idx;
 };
 
 ExpandArenas::ExpandArenas() = default;
@@ -136,28 +54,8 @@ ExpandArenas::Lease::~Lease() {
   pool_.free_.push_back(std::move(scratch_));
 }
 
-std::optional<FrontierMode> frontier_mode_from_name(std::string_view name) {
-  if (name == "auto") return FrontierMode::kAuto;
-  if (name == "dense") return FrontierMode::kDense;
-  if (name == "sparse") return FrontierMode::kSparse;
-  return std::nullopt;
-}
-
-const char* to_string(FrontierMode mode) {
-  switch (mode) {
-    case FrontierMode::kAuto:
-      return "auto";
-    case FrontierMode::kSparse:
-      return "sparse";
-    case FrontierMode::kDense:
-      return "dense";
-  }
-  return "?";
-}
-
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
                          bool* inserted) {
-  assert(!appended_ && "intern() on a table frozen by append_new()");
   if (slots_.empty()) {
     slots_.assign(64, -1);
   } else if ((entries_.size() + 1) * 10 > slots_.size() * 7) {
@@ -192,36 +90,6 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
   }
 }
 
-int WordSeqIndex::append_new(const std::uint32_t* words, std::size_t count) {
-  appended_ = true;
-  const auto id = static_cast<int>(entries_.size());
-  Entry entry;
-  entry.offset = pool_.size();
-  entry.count = static_cast<std::uint32_t>(count);
-  // The probe table is not maintained (see the header contract), so the
-  // hash is never needed; skipping it is the point of the dense path.
-  entry.hash = 0;
-  pool_.insert(pool_.end(), words, words + count);
-  entries_.push_back(entry);
-  return id;
-}
-
-void WordSeqIndex::reindex() {
-  std::size_t slots = 64;
-  while ((entries_.size() + 1) * 10 > slots * 7) slots <<= 1;
-  slots_.assign(slots, -1);
-  const std::size_t mask = slots - 1;
-  for (std::size_t e = 0; e < entries_.size(); ++e) {
-    Entry& entry = entries_[e];
-    entry.hash = static_cast<std::uint32_t>(
-        hash_words(pool_.data() + entry.offset, entry.count));
-    std::size_t pos = entry.hash & mask;
-    while (slots_[pos] >= 0) pos = (pos + 1) & mask;
-    slots_[pos] = static_cast<int>(e);
-  }
-  appended_ = false;
-}
-
 void WordSeqIndex::grow() {
   ++rehashes_;
   std::vector<int> next(slots_.size() * 2, -1);
@@ -237,11 +105,10 @@ void WordSeqIndex::grow() {
 FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
                                const AnalysisOptions& options,
                                ViewInterner& interner, int first_root,
-                               int last_root, FrontierMode frontier,
+                               int last_root,
                                std::shared_ptr<ExpandArenas> arenas)
     : adversary_(&adversary),
       options_(options),
-      frontier_mode_(frontier),
       interner_(&interner),
       arenas_(arenas ? std::move(arenas) : std::make_shared<ExpandArenas>()) {
   const int n = adversary.num_processes();
@@ -291,21 +158,6 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
     start.multiplicity.push_back(1);
     start.root_offsets.push_back(start.multiplicity.size());
   }
-  // Distinct level-0 views per process (the roots are few: one class per
-  // input vector of this shard).
-  frontier_distinct_.assign(static_cast<std::size_t>(n), 0);
-  std::vector<ViewId> ids;
-  for (int p = 0; p < n; ++p) {
-    ids.clear();
-    for (std::size_t i = 0; i < start.size(); ++i) {
-      ids.push_back(start.views(i)[static_cast<std::size_t>(p)]);
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    frontier_distinct_[static_cast<std::size_t>(p)] =
-        static_cast<std::uint32_t>(ids.size());
-  }
-
   if (options_.keep_levels) {
     first_parent_.push_back(
         std::vector<std::pair<int, int>>(start.size(), {-1, -1}));
@@ -338,8 +190,9 @@ KeyCodec FrontierEngine::level_codec() const {
   // Every chunk contributes at most one distinct view per (parent, pair)
   // so frontier * pairs bounds chunk-local AND merged view-table
   // indices: one width makes chunk and merged state keys interoperable.
+  // Both factors count in-memory entries, so the product cannot wrap.
   const std::uint64_t index_bound =
-      sat_mul(frontier().size(), shape_.pairs.size());
+      static_cast<std::uint64_t>(frontier().size()) * shape_.pairs.size();
   c.index_bits =
       index_bound > 1 ? std::min<std::uint32_t>(
                             32, static_cast<std::uint32_t>(
@@ -392,144 +245,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
 
   const std::size_t chunk_size = chunk.end - chunk.begin;
   const std::size_t num_pairs = shape_.pairs.size();
-  const FrontierMode mode = frontier_mode_;
 
-  // ---- Dense planning, O(pairs) arithmetic before any expansion.
-  //
-  // A child-view key is [q, mask, senders...] where the senders are the
-  // PARENT level's interned view ids of the processes in mask. Within
-  // this chunk the sender in digit position p takes at most
-  // U_p = min(|chunk|, distinct views of p in the whole frontier)
-  // values, so the keys of pair (q, mask) enumerate a range of size
-  // prod_{p in mask} U_p once sender ids are remapped to compact
-  // per-process digits, and the whole chunk's key space has size
-  // S_v = sum over distinct pairs of that product -- computable up
-  // front. The chunk goes dense when S_v fits the slot cap and (under
-  // kAuto) is at most kDenseHeadroom times the expected insertions, the
-  // GBBS vertexSubset densification rule transplanted to dedup keys.
-  bool dense_views = false;
-  std::vector<std::uint32_t>& radix = scratch.radix;
-  std::vector<std::uint64_t>& pair_base = scratch.pair_base;
-  std::uint64_t view_space = 0;
-  if (mode != FrontierMode::kSparse && chunk_size > 0) {
-    radix.resize(un);
-    for (std::size_t p = 0; p < un; ++p) {
-      radix[p] = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(chunk_size, frontier_distinct_[p]));
-    }
-    pair_base.resize(num_pairs);
-    for (std::size_t pr = 0; pr < num_pairs; ++pr) {
-      pair_base[pr] = view_space;
-      std::uint64_t pair_space = 1;
-      NodeMask rest = shape_.pairs[pr].mask;
-      while (rest != 0) {
-        const int p = std::countr_zero(rest);
-        rest &= rest - 1;
-        pair_space = sat_mul(pair_space, radix[static_cast<std::size_t>(p)]);
-      }
-      view_space = sat_add(view_space, pair_space);
-    }
-    // After the per-parent (q, mask) memo below, at most one view
-    // insertion happens per parent and pair.
-    const std::uint64_t expected_views = sat_mul(chunk_size, num_pairs);
-    dense_views = view_space <= kDenseSlotCap &&
-                  (mode == FrontierMode::kDense ||
-                   view_space <= sat_mul(kDenseHeadroom, expected_views));
-  }
-
-  // ---- Pending-state dense planning. State keys are [adversary state,
-  // view index per process]; the view indices are bounded by
-  // W = min(S_v, |chunk| * pairs) and the child adversary states are
-  // enumerated by a prescan of the chunk's distinct parent states, so
-  // the key space A_child * W^n is computable too. The prescan is only
-  // worth its O(|chunk|) when the views went dense (W is tiny exactly
-  // then); as a side effect it memoizes the safety-automaton transition,
-  // replacing the per-emission virtual call with a table load.
-  bool dense_states = false;
-  bool adv_cached = false;
-  std::uint64_t w_cap = 0;
-  ScratchMap& adv_remap = scratch.adv_remap;
-  std::vector<AdvState>& adv_child_value = scratch.adv_child_value;
-  std::vector<std::int32_t>& adv_child_digit = scratch.adv_child_digit;
-  if (dense_views) {
-    w_cap = std::min<std::uint64_t>(view_space,
-                                    sat_mul(chunk_size, num_pairs));
-    adv_remap.init(std::min(chunk_size, kDenseAdvCap + 1));
-    std::vector<AdvState>& advs = scratch.advs;
-    advs.clear();
-    std::int32_t adv_count = 0;
-    bool bounded = true;
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      bool fresh;
-      adv_remap.find_or_insert(frontier.adv_state(i), adv_count, &fresh);
-      if (fresh) {
-        advs.push_back(frontier.adv_state(i));
-        if (static_cast<std::size_t>(++adv_count) > kDenseAdvCap) {
-          bounded = false;
-          break;
-        }
-      }
-    }
-    if (bounded && static_cast<std::size_t>(adv_count) *
-                           static_cast<std::size_t>(alphabet) <=
-                       kDenseAdvTableCap) {
-      const std::size_t table =
-          static_cast<std::size_t>(adv_count) *
-          static_cast<std::size_t>(alphabet);
-      adv_child_value.resize(table);
-      adv_child_digit.assign(table, -1);
-      ScratchMap& child_remap = scratch.child_remap;
-      child_remap.init(table);
-      std::int32_t child_count = 0;
-      for (std::int32_t ai = 0; ai < adv_count; ++ai) {
-        for (int letter = 0; letter < alphabet; ++letter) {
-          const std::size_t slot =
-              static_cast<std::size_t>(ai) *
-                  static_cast<std::size_t>(alphabet) +
-              static_cast<std::size_t>(letter);
-          const AdvState next =
-              adversary.transition(advs[static_cast<std::size_t>(ai)], letter);
-          adv_child_value[slot] = next;
-          if (next == kRejectState) continue;
-          // Non-reject automaton states are non-negative (state 0 is
-          // initial), which ScratchMap relies on.
-          bool fresh;
-          adv_child_digit[slot] =
-              child_remap.find_or_insert(next, child_count, &fresh);
-          if (fresh) ++child_count;
-        }
-      }
-      adv_cached = true;
-      std::uint64_t state_space =
-          static_cast<std::uint64_t>(child_count);
-      for (int q = 0; q < n; ++q) state_space = sat_mul(state_space, w_cap);
-      const std::uint64_t expected_states = sat_mul(chunk_size, alphabet);
-      dense_states = state_space <= kDenseSlotCap &&
-                     (mode == FrontierMode::kDense ||
-                      state_space <= sat_mul(kDenseHeadroom, expected_states));
-      if (dense_states) {
-        scratch.dense_state_slot.assign(static_cast<std::size_t>(state_space),
-                                        -1);
-      }
-    }
-  }
-
-  // ---- Per-chunk scratch (all from the leased arena).
-  std::vector<std::int32_t>& dense_view_slot = scratch.dense_view_slot;
-  std::vector<std::int32_t>& dense_state_slot = scratch.dense_state_slot;
-  if (dense_views) {
-    dense_view_slot.assign(static_cast<std::size_t>(view_space), -1);
-  }
-  ScratchMap& view_remap = scratch.view_remap;
-  std::vector<std::uint32_t>& digits = scratch.digits;
-  std::vector<std::int32_t>& next_digit = scratch.next_digit;
-  digits.assign(un, 0);
-  next_digit.assign(un, 0);
-  if (dense_views) {
-    std::size_t digit_cap = 0;
-    for (std::size_t p = 0; p < un; ++p) digit_cap += radix[p];
-    view_remap.init(digit_cap);
-  }
   // The per-parent (q, mask) memo: for a fixed parent, the child view of
   // process q depends only on its expansion-shape pair, so each pair is
   // resolved at most once per parent no matter how many letters share
@@ -542,15 +258,11 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   memo_epoch.assign(num_pairs, 0);
 
   // Scratch keys, reused across emissions: no per-emission allocation.
-  // Keys are KeyCodec-packed (see frontier.hpp); the per-process view
-  // indices additionally stay unpacked in view_idx for the dense-state
-  // address computation.
+  // Keys are KeyCodec-packed (see frontier.hpp).
   const KeyCodec codec = level_codec();
   std::vector<std::uint32_t>& view_key = scratch.view_key;
   std::vector<std::uint32_t>& state_key = scratch.state_key;
-  std::vector<std::uint32_t>& view_idx = scratch.view_idx;
   state_key.assign(codec.state_words, 0);
-  view_idx.assign(un, 0);
   const auto pack_view_key = [&](std::uint32_t recv, NodeMask in_mask,
                                  std::span<const ViewId> parent_views) {
     const auto senders =
@@ -575,15 +287,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       pos += codec.sender_bits;
     }
   };
-  const auto pack_state_key = [&](AdvState adv) {
-    std::fill(state_key.begin(), state_key.end(), 0u);
-    put_bits(state_key.data(), 0, static_cast<std::uint32_t>(adv),
-             codec.adv_bits);
-    for (std::size_t q = 0; q < un; ++q) {
-      put_bits(state_key.data(), codec.adv_bits + q * codec.index_bits,
-               view_idx[q], codec.index_bits);
-    }
-  };
 
   const std::size_t stride = out.stride();
   if (options_.keep_levels) out.children.offsets.reserve(chunk_size + 1);
@@ -602,30 +305,13 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     const std::uint64_t parent_mult = frontier.multiplicity[i];
     const auto epoch = static_cast<std::uint32_t>(i - chunk.begin) + 1;
     const std::size_t kids_begin = out.children.targets.size();
-    std::int32_t parent_adv = -1;
-    if (adv_cached) {
-      bool fresh;
-      parent_adv = adv_remap.find_or_insert(parent_state, -1, &fresh);
-      assert(!fresh && "the prescan saw every parent state");
-    }
-    if (dense_views) {
-      for (std::size_t p = 0; p < un; ++p) {
-        bool fresh;
-        const std::int32_t d = view_remap.find_or_insert(
-            parent_views[p], next_digit[p], &fresh);
-        if (fresh) ++next_digit[p];
-        digits[p] = static_cast<std::uint32_t>(d);
-      }
-    }
     for (int letter = 0; letter < alphabet; ++letter) {
-      const AdvState adv_next =
-          adv_cached
-              ? adv_child_value[static_cast<std::size_t>(parent_adv) *
-                                    static_cast<std::size_t>(alphabet) +
-                                static_cast<std::size_t>(letter)]
-              : adversary.transition(parent_state, letter);
+      const AdvState adv_next = adversary.transition(parent_state, letter);
       if (adv_next == kRejectState) continue;
       const Digraph& g = adversary.graph(letter);
+      std::fill(state_key.begin(), state_key.end(), 0u);
+      put_bits(state_key.data(), 0, static_cast<std::uint32_t>(adv_next),
+               codec.adv_bits);
       for (int q = 0; q < n; ++q) {
         const auto pair = static_cast<std::size_t>(
             shape_.pair_of[static_cast<std::size_t>(letter) * un +
@@ -634,65 +320,24 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
         if (memo_epoch[pair] == epoch) {
           view_index = memo_val[pair];
         } else {
-          const NodeMask mask = g.in_mask(static_cast<ProcessId>(q));
-          if (dense_views) {
-            std::uint64_t local = 0;
-            NodeMask rest = mask;
-            while (rest != 0) {
-              const int p = std::countr_zero(rest);
-              rest &= rest - 1;
-              local = local * radix[static_cast<std::size_t>(p)] +
-                      digits[static_cast<std::size_t>(p)];
-            }
-            const std::size_t addr =
-                static_cast<std::size_t>(pair_base[pair] + local);
-            view_index = dense_view_slot[addr];
-            if (view_index < 0) {
-              pack_view_key(static_cast<std::uint32_t>(q), mask,
-                            parent_views);
-              view_index =
-                  out.views.append_new(view_key.data(), view_key.size());
-              dense_view_slot[addr] = view_index;
-            }
-          } else {
-            pack_view_key(static_cast<std::uint32_t>(q), mask, parent_views);
-            bool view_inserted;
-            view_index = out.views.intern(view_key.data(), view_key.size(),
-                                          &view_inserted);
-          }
+          pack_view_key(static_cast<std::uint32_t>(q),
+                        g.in_mask(static_cast<ProcessId>(q)), parent_views);
+          bool view_inserted;
+          view_index = out.views.intern(view_key.data(), view_key.size(),
+                                        &view_inserted);
           memo_val[pair] = view_index;
           memo_epoch[pair] = epoch;
         }
-        view_idx[static_cast<std::size_t>(q)] =
-            static_cast<std::uint32_t>(view_index);
+        put_bits(state_key.data(),
+                 codec.adv_bits + static_cast<std::size_t>(q) * codec.index_bits,
+                 static_cast<std::uint32_t>(view_index), codec.index_bits);
       }
       assert(adversary.state_bound() <= 0 ||
              adv_next < adversary.state_bound());
       ++emissions;
       bool inserted;
-      int index;
-      if (dense_states) {
-        std::uint64_t addr = static_cast<std::uint64_t>(
-            adv_child_digit[static_cast<std::size_t>(parent_adv) *
-                                static_cast<std::size_t>(alphabet) +
-                            static_cast<std::size_t>(letter)]);
-        for (std::size_t q = 0; q < un; ++q) {
-          addr = addr * w_cap + view_idx[q];
-        }
-        std::int32_t slot = dense_state_slot[static_cast<std::size_t>(addr)];
-        inserted = slot < 0;
-        if (inserted) {
-          pack_state_key(adv_next);
-          slot = out.state_index.append_new(state_key.data(),
-                                            state_key.size());
-          dense_state_slot[static_cast<std::size_t>(addr)] = slot;
-        }
-        index = slot;
-      } else {
-        pack_state_key(adv_next);
-        index = out.state_index.intern(state_key.data(), state_key.size(),
-                                       &inserted);
-      }
+      const int index = out.state_index.intern(
+          state_key.data(), state_key.size(), &inserted);
       if (inserted) {
         // New pending row [reach..., adv_state, parent, letter]; the
         // child's reach is the parent's propagated along g.
@@ -740,8 +385,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     out.overflow = true;
   }
   out.stats.chunks = 1;
-  out.stats.dense_view_chunks = dense_views ? 1 : 0;
-  out.stats.dense_state_chunks = dense_states ? 1 : 0;
   out.stats.emissions = emissions;
   out.stats.pending_states = out.size();
   out.stats.dedup_hits = emissions - out.size();
@@ -756,8 +399,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                   static_cast<std::uint64_t>(level_) + 1),
          telemetry::TraceArg::num("begin", chunk.begin),
          telemetry::TraceArg::num("end", chunk.end),
-         telemetry::TraceArg::num("states", out.size()),
-         telemetry::TraceArg::num("dense", dense_views ? 1 : 0)});
+         telemetry::TraceArg::num("states", out.size())});
   }
   return out;
 }
@@ -782,8 +424,6 @@ PendingFrontier FrontierEngine::merge(
   const std::size_t stride = level.stride();
   const std::uint64_t adopted_rehashes =
       level.views.rehashes() + level.state_index.rehashes();
-  level.views.reindex();
-  level.state_index.reindex();
   std::vector<int> view_remap;
   std::vector<int> state_remap;
   std::vector<std::uint32_t> state_key;
@@ -934,14 +574,6 @@ void FrontierEngine::commit(PendingFrontier level) {
   }
   for (std::size_t r = 1; r < next.root_offsets.size(); ++r) {
     next.root_offsets[r] += next.root_offsets[r - 1];
-  }
-  // level.views holds exactly the distinct views of the new frontier
-  // (every entry was part of some committed state's key), so the
-  // per-process tally feeding the dense heuristic is one scan of it.
-  frontier_distinct_.assign(un, 0);
-  for (std::size_t v = 0; v < level.views.size(); ++v) {
-    ++frontier_distinct_[get_bits(level.views.words_of(static_cast<int>(v)),
-                                  0, codec.q_bits)];
   }
   ++level_;
   if (options_.keep_levels) {

@@ -42,8 +42,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,11 +57,6 @@ struct FrontierChunk {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
-
-/// Parses "auto" / "dense" / "sparse" (the `--frontier=` spellings);
-/// nullopt for anything else.
-std::optional<FrontierMode> frontier_mode_from_name(std::string_view name);
-const char* to_string(FrontierMode mode);
 
 /// Fixed-width bit layout of the engine's pending dedup keys, derived
 /// once per level from quantities that are constant while that level
@@ -119,26 +112,16 @@ inline std::uint32_t get_bits(const std::uint32_t* words, std::size_t pos,
 }
 
 /// Append-only open-addressed map from word sequences (dedup keys) to
-/// dense indices, with the key material owned by the table -- the
-/// allocation-free workhorse behind pending-view and pending-state
-/// deduplication. Exposed here only because PendingFrontier embeds two.
+/// dense indices in first-insertion order, with the key material owned
+/// by the table -- the one dedup structure of the engine: every chunk
+/// expansion and every cross-chunk merge dedups its pending views and
+/// states through it. Exposed here only because PendingFrontier embeds
+/// two.
 class WordSeqIndex {
  public:
   /// Index of the key `words[0..count)`, inserting it if absent;
   /// `*inserted` reports which happened.
   int intern(const std::uint32_t* words, std::size_t count, bool* inserted);
-
-  /// Appends the key as a NEW entry without consulting or maintaining
-  /// the probe table: the dense expansion path has already proved
-  /// uniqueness through its direct-indexed table. A table touched by
-  /// append_new becomes read-only for dedup -- intern() must not be
-  /// called on it afterwards (merge() and commit() only read entries,
-  /// which is all the engine ever does with an expanded chunk).
-  int append_new(const std::uint32_t* words, std::size_t count);
-
-  /// Rebuilds the probe table from the entries, so a table frozen by
-  /// append_new() accepts intern() again. Ids are unchanged.
-  void reindex();
 
   std::size_t size() const { return entries_.size(); }
   /// Probe-table growth rehashes performed so far (telemetry).
@@ -165,8 +148,6 @@ class WordSeqIndex {
   std::vector<Entry> entries_;
   /// Power-of-two probe table of entry indices; -1 = empty.
   std::vector<int> slots_;
-  /// True once append_new bypassed the probe table (see its contract).
-  bool appended_ = false;
   std::uint64_t rehashes_ = 0;
 };
 
@@ -250,8 +231,8 @@ class FrontierBudget {
 
 struct ExpandScratch;
 
-/// Reusable chunk-expansion scratch (dense slot tables, digit maps, key
-/// buffers) for the engines of one analysis, in the style of per-core
+/// Reusable chunk-expansion scratch (the per-parent pair memo and the
+/// key buffers) for the engines of one analysis, in the style of per-core
 /// preallocated pools: every running expand() leases one arena and
 /// returns it when done, so at most one arena exists per concurrently
 /// expanding thread and each is reused across chunks and levels. All of
@@ -288,12 +269,11 @@ class FrontierEngine {
  public:
   /// Initializes the level-0 frontier: one class per input vector with
   /// dense index in [first_root, last_root). Mutates `interner` (which
-  /// must outlive the engine), like every commit() does. `frontier` is
-  /// the dedup representation of every expand(). Engines of one analysis
-  /// may share `arenas`; null gives the engine its own.
+  /// must outlive the engine), like every commit() does. Engines of one
+  /// analysis may share `arenas`; null gives the engine its own.
   FrontierEngine(const MessageAdversary& adversary,
                  const AnalysisOptions& options, ViewInterner& interner,
-                 int first_root, int last_root, FrontierMode frontier,
+                 int first_root, int last_root,
                  std::shared_ptr<ExpandArenas> arenas = nullptr);
 
   /// Depth expanded so far (0 right after construction).
@@ -314,15 +294,10 @@ class FrontierEngine {
   /// once the shared total trips; the classes it holds then are still
   /// genuine -- see FrontierBudget for what that makes exact.
   ///
-  /// The dedup representation is chosen per chunk by the engine's
-  /// FrontierMode: under kAuto, when the enumerable child-view
-  /// key space -- at most sum over the distinct (process, in-mask) pairs
-  /// of the product of the per-process sender-id bounds -- is small, the
-  /// chunk dedups through direct-indexed tables instead of hashing.
-  /// Keys, indices, and entry order are identical either way, so the
-  /// choice (like the chunk size) can never change a result byte. All
-  /// per-chunk scratch comes from an arena leased from the engine's
-  /// ExpandArenas.
+  /// Child views and states are deduplicated through the slice's two
+  /// WordSeqIndex tables, each view resolved at most once per parent and
+  /// (process, in-mask) pair. All per-chunk scratch comes from an arena
+  /// leased from the engine's ExpandArenas.
   PendingFrontier expand(const FrontierChunk& chunk,
                          FrontierBudget* budget = nullptr) const;
 
@@ -357,8 +332,8 @@ class FrontierEngine {
   /// The adversary's per-round expansion shape, fixed at construction:
   /// the distinct (receiver, in-mask) pairs over all (letter, process)
   /// combinations. A parent's child view for process q depends only on
-  /// its pair, so `pairs` bounds both the per-parent view-intern work
-  /// (the expand memo) and the dense key-space enumeration.
+  /// its pair, so `pairs` bounds the per-parent view-intern work (the
+  /// expand memo).
   struct ExpansionShape {
     struct Pair {
       std::uint32_t q = 0;
@@ -376,14 +351,9 @@ class FrontierEngine {
 
   const MessageAdversary* adversary_;
   AnalysisOptions options_;
-  FrontierMode frontier_mode_;
   ViewInterner* interner_;
   std::shared_ptr<ExpandArenas> arenas_;
   ExpansionShape shape_;
-  /// Distinct interned views per process in the current frontier,
-  /// maintained by the constructor and commit(); the per-chunk dense
-  /// heuristic bounds sender-id digits with min(chunk size, this).
-  std::vector<std::uint32_t> frontier_distinct_;
   int level_ = 0;
   bool truncated_ = false;
   /// Never empty: back() is the current frontier.

@@ -29,8 +29,6 @@ void write_telemetry_counters(JsonWriter& writer,
   writer.member("pending_views", counters.pending_views);
   writer.member("views_interned", counters.views_interned);
   writer.member("chunks_expanded", counters.chunks_expanded);
-  writer.member("dense_view_chunks", counters.dense_view_chunks);
-  writer.member("dense_state_chunks", counters.dense_state_chunks);
   writer.member("wordseq_rehashes", counters.wordseq_rehashes);
   writer.member("levels_committed", counters.levels_committed);
   writer.member("budget_early_aborts", counters.budget_early_aborts);
@@ -226,8 +224,7 @@ int default_num_threads() {
 
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
                                      const SweepHooks& hooks,
-                                     std::size_t chunk_states,
-                                     FrontierMode frontier) {
+                                     std::size_t chunk_states) {
   std::vector<JobOutcome> outcomes(spec.jobs.size());
   std::mutex hook_mutex;
 
@@ -259,8 +256,7 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       };
     }
     ExecutionOptions job_execution{.parallel_for = parallel_for_of(pool),
-                                   .chunk_states = chunk_states,
-                                   .frontier = frontier};
+                                   .chunk_states = chunk_states};
     if (hooks.on_chunk) {
       job_execution.on_chunk = [&, j](const ChunkProgress& progress) {
         const std::lock_guard<std::mutex> lock(hook_mutex);

@@ -138,12 +138,10 @@ struct SweepHooks {
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
 /// own history). Every job expands on `pool` with `chunk_states` per
-/// chunk and `frontier` dedup (ExecutionOptions) and streams its chunks
-/// to hooks.on_chunk.
+/// chunk (ExecutionOptions) and streams its chunks to hooks.on_chunk.
 std::vector<JobOutcome> run_sweep_on(
     const SweepSpec& spec, ThreadPool& pool, const SweepHooks& hooks = {},
-    std::size_t chunk_states = ExecutionOptions{}.chunk_states,
-    FrontierMode frontier = ExecutionOptions{}.frontier);
+    std::size_t chunk_states = ExecutionOptions{}.chunk_states);
 
 /// Default thread count for api::Session and the examples: set from
 /// --sweep-threads; 0 (the initial value) resolves to

@@ -14,7 +14,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/frontier.hpp"
 #include "core/solvability.hpp"
 #include "telemetry/metrics.hpp"
 

@@ -6,8 +6,8 @@
 // flush point; a truncated level contributes exactly one
 // budget_early_aborts tick and nothing else), so the counts are identical
 // across thread counts. They DO depend on the execution shape
-// (--chunk, --frontier): a different chunk partition dedups at different
-// boundaries and plans dense/sparse per chunk. Timings
+// (--chunk): a different chunk partition dedups at different
+// boundaries. Timings
 // (LevelTiming::seconds, JobTelemetry::wall_seconds) are wall clock and
 // never deterministic; the JSON "telemetry" section embeds counters only.
 //
@@ -30,8 +30,6 @@ class TraceWriter;
 /// job's MetricsRegistry.
 struct PendingStats {
   std::uint64_t chunks = 0;              ///< chunk expansions folded in
-  std::uint64_t dense_view_chunks = 0;   ///< chunks planned dense for views
-  std::uint64_t dense_state_chunks = 0;  ///< chunks planned dense for states
   std::uint64_t emissions = 0;           ///< (parent, letter) child emissions
   std::uint64_t dedup_hits = 0;          ///< emissions folded into a seen state
   std::uint64_t pending_states = 0;      ///< distinct states after dedup
@@ -42,7 +40,7 @@ struct PendingStats {
 };
 
 /// Monotonic per-job counters. All values are deterministic for a fixed
-/// query + chunk size + frontier mode, at any thread count.
+/// query + chunk size, at any thread count.
 struct TelemetryCounters {
   std::uint64_t states_expanded = 0;     ///< child emissions scanned
   std::uint64_t state_dedup_hits = 0;    ///< emissions deduped away
@@ -50,9 +48,7 @@ struct TelemetryCounters {
   std::uint64_t pending_views = 0;       ///< distinct views before interning
   std::uint64_t views_interned = 0;      ///< ViewInterner growth
   std::uint64_t chunks_expanded = 0;     ///< chunk expansions committed
-  std::uint64_t dense_view_chunks = 0;   ///< chunks on the dense view path
-  std::uint64_t dense_state_chunks = 0;  ///< chunks on the dense state path
-  std::uint64_t wordseq_rehashes = 0;    ///< sparse-table growth rehashes
+  std::uint64_t wordseq_rehashes = 0;    ///< dedup-table growth rehashes
   std::uint64_t levels_committed = 0;    ///< committed (root-set, level) steps
   std::uint64_t budget_early_aborts = 0; ///< levels truncated by max_states
   std::uint64_t frontier_high_water = 0; ///< largest committed frontier
@@ -120,8 +116,6 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> pending_views_{0};
   std::atomic<std::uint64_t> views_interned_{0};
   std::atomic<std::uint64_t> chunks_expanded_{0};
-  std::atomic<std::uint64_t> dense_view_chunks_{0};
-  std::atomic<std::uint64_t> dense_state_chunks_{0};
   std::atomic<std::uint64_t> wordseq_rehashes_{0};
   std::atomic<std::uint64_t> levels_committed_{0};
   std::atomic<std::uint64_t> budget_early_aborts_{0};

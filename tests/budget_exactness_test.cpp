@@ -74,7 +74,7 @@ LevelFacts level_facts(const MessageAdversary& adversary, int level,
   for (std::size_t r = 0; r < num_roots; ++r) {
     ViewInterner interner;
     FrontierEngine engine(adversary, options, interner, static_cast<int>(r),
-                          static_cast<int>(r) + 1, FrontierMode::kAuto);
+                          static_cast<int>(r) + 1);
     for (int s = 1; s < level; ++s) {
       test_support::advance_level(engine, chunk_states);
     }

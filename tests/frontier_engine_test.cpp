@@ -154,26 +154,6 @@ TEST(WordSeqIndex, DuplicateInsertsKeepOneEntry) {
   EXPECT_EQ(index.size(), 1u);
 }
 
-TEST(WordSeqIndex, AppendNewExtendsTheEntryListInOrder) {
-  // append_new is the dense expansion path's bulk append: the caller
-  // already proved the key fresh, so the entry bypasses the probe table
-  // but must round-trip through words_of/count_of like any other.
-  WordSeqIndex index;
-  bool inserted = false;
-  const std::uint32_t first[] = {1, 2};
-  ASSERT_EQ(index.intern(first, 2, &inserted), 0);
-  const std::uint32_t second[] = {3, 4, 5};
-  EXPECT_EQ(index.append_new(second, 3), 1);
-  const std::uint32_t third[] = {6};
-  EXPECT_EQ(index.append_new(third, 1), 2);
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.count_of(1), 3u);
-  EXPECT_EQ(index.words_of(1)[2], 5u);
-  EXPECT_EQ(index.count_of(2), 1u);
-  EXPECT_EQ(index.words_of(2)[0], 6u);
-  EXPECT_EQ(index.words_of(0)[0], 1u);  // pre-append entries untouched
-}
-
 TEST(FrontierEngine, MatchesReferenceExpansionLevelByLevel) {
   for (const unsigned mask : {0b011u, 0b111u}) {
     const auto ma = make_lossy_link(mask);
@@ -185,7 +165,7 @@ TEST(FrontierEngine, MatchesReferenceExpansionLevelByLevel) {
         reference_levels(*ma, options, reference_interner, 4);
 
     ViewInterner interner;
-    FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
+    FrontierEngine engine(*ma, options, interner, 0, 4);
     expect_states_equal(reference[0], engine.frontier(), "level 0");
     for (std::size_t s = 1; s < reference.size(); ++s) {
       ASSERT_TRUE(advance_level(engine));
@@ -203,13 +183,13 @@ TEST(FrontierEngine, EveryChunkSizeYieldsIdenticalLevelsAndIds) {
   options.depth = 3;
   options.keep_levels = true;
   ViewInterner base_interner;
-  FrontierEngine base(*ma, options, base_interner, 0, 4, FrontierMode::kAuto);
+  FrontierEngine base(*ma, options, base_interner, 0, 4);
   while (base.level() < options.depth) ASSERT_TRUE(advance_level(base));
 
   for (const std::size_t chunk_states :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
     ViewInterner interner;
-    FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
+    FrontierEngine engine(*ma, options, interner, 0, 4);
     while (engine.level() < options.depth) {
       ASSERT_TRUE(advance_level(engine, chunk_states));
     }
@@ -228,7 +208,7 @@ TEST(FrontierEngine, PartitionIsDeterministicAndCoversTheFrontier) {
   AnalysisOptions options;
   options.depth = 2;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
+  FrontierEngine engine(*ma, options, interner, 0, 4);
   ASSERT_TRUE(advance_level(engine));
   ASSERT_TRUE(advance_level(engine));
   const std::size_t size = engine.frontier().size();
@@ -257,7 +237,7 @@ TEST(FrontierEngine, ExpandIsReadOnlyAndChunksCompose) {
   AnalysisOptions options;
   options.depth = 2;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
+  FrontierEngine engine(*ma, options, interner, 0, 4);
   ASSERT_TRUE(advance_level(engine));
 
   const std::vector<FrontierChunk> chunks = engine.partition(2);
@@ -282,7 +262,7 @@ TEST(FrontierEngine, BudgetAbortsDoomedLevels) {
   options.depth = 2;
   options.max_states = 1000;  // level 1 has 176 classes, level 2 has 3872
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 8, FrontierMode::kAuto);
+  FrontierEngine engine(*ma, options, interner, 0, 8);
   ASSERT_TRUE(advance_level(engine));  // level 1 fits
 
   FrontierBudget budget(options.max_states);
@@ -304,7 +284,7 @@ TEST(FrontierEngine, OverflowLeavesLastCompleteLevel) {
   options.depth = 6;
   options.max_states = 50;
   ViewInterner interner;
-  FrontierEngine engine(*ma, options, interner, 0, 4, FrontierMode::kAuto);
+  FrontierEngine engine(*ma, options, interner, 0, 4);
   int completed = 0;
   while (engine.level() < options.depth && advance_level(engine, 1)) {
     ++completed;

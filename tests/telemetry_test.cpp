@@ -43,8 +43,7 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
     workers.emplace_back([&registry, t] {
       for (int i = 0; i < kFlushes; ++i) {
         PendingStats stats;
-        stats.chunks = 1;
-        stats.dense_view_chunks = 1;
+        stats.chunks = 2;
         stats.emissions = 10;
         stats.dedup_hits = 2;
         stats.pending_states = 8;
@@ -66,9 +65,8 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
   EXPECT_EQ(counters.states_committed, 8 * kTotal);
   EXPECT_EQ(counters.pending_views, 3 * kTotal);
   EXPECT_EQ(counters.views_interned, 3 * kTotal);
-  EXPECT_EQ(counters.chunks_expanded, kTotal);
-  EXPECT_EQ(counters.dense_view_chunks, kTotal);
-  EXPECT_EQ(counters.dense_state_chunks, 0u);
+  EXPECT_EQ(counters.chunks_expanded, 2 * kTotal);
+  EXPECT_EQ(counters.levels_committed, 0u);  // add_pending never counts it
   EXPECT_EQ(counters.wordseq_rehashes, kTotal);
   EXPECT_EQ(counters.budget_early_aborts, 1u);
   EXPECT_EQ(counters.frontier_high_water, kTotal - 1);

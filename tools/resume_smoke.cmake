@@ -7,6 +7,10 @@
 #                empty)
 #   FAIL_AFTER   checkpoint appends before the simulated crash
 #   WORK_DIR     scratch directory (recreated)
+#   LEGACY_CHECKPOINT, LEGACY_GOLDEN
+#                optional pair: a committed partial checkpoint written by
+#                an older topocon, and the document resuming it must
+#                finalize to, byte for byte
 #
 # Protocol: an uninterrupted single-threaded run, an uninterrupted
 # 4-thread run, and an interrupted-then-resumed 4-thread run must all
@@ -73,6 +77,22 @@ execute_process(
   RESULT_VARIABLE diff_noop)
 if(NOT diff_noop EQUAL 0)
   message(FATAL_ERROR "resume of a finalized document modified it")
+endif()
+
+# An older checkpoint must stay resumable: its completed records load
+# (members this build no longer writes are ignored), the missing jobs
+# re-run, and the finalized document is written in the current format.
+if(DEFINED LEGACY_CHECKPOINT)
+  file(COPY_FILE ${LEGACY_CHECKPOINT} ${WORK_DIR}/legacy.json)
+  run_cli(0 resume ${WORK_DIR}/legacy.json --threads=2)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+      ${LEGACY_GOLDEN} ${WORK_DIR}/legacy.json
+    RESULT_VARIABLE diff_legacy)
+  if(NOT diff_legacy EQUAL 0)
+    message(FATAL_ERROR "resumed legacy checkpoint differs from "
+      "${LEGACY_GOLDEN}")
+  endif()
 endif()
 
 message(STATUS "resume smoke OK: ${SCENARIO}")

@@ -3,15 +3,15 @@
 //
 //   topocon list
 //   topocon describe SCENARIO
-//   topocon run SCENARIO [--threads=N] [--chunk=N] [--frontier=MODE]
+//   topocon run SCENARIO [--threads=N] [--chunk=N]
 //                        [--json=PATH] [--format=table|csv]
 //                        [--n=N] [--param-min=V] [--param-max=V]
 //                        [--seed=N] [--count=N]
 //                        [--metrics] [--trace=PATH] [--telemetry-json]
-//   topocon resume PATH [--threads=N] [--chunk=N] [--frontier=MODE]
-//                       [--format=table|csv] [--metrics] [--trace=PATH]
+//   topocon resume PATH [--threads=N] [--chunk=N] [--format=table|csv]
+//                       [--metrics] [--trace=PATH]
 //   topocon fuzz [--seed=N] [--count=N] [--n=N] [--depth=N] [--threads=N]
-//                [--frontier=MODE] [--trace=PATH]
+//                [--trace=PATH]
 //   topocon bench [BINARY...] [--bench-dir=PATH] [--filter=REGEX]
 //                 [--repetitions=N] [--json=PATH]
 //                 [--compare=BASELINE] [--input=RESULTS]
@@ -90,7 +90,6 @@
 #include "adversary/family.hpp"
 #include "analysis/report.hpp"
 #include "api/api.hpp"
-#include "core/frontier.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
@@ -137,13 +136,6 @@ int usage(std::ostream& out, int code) {
          "                            4096; like --threads an execution "
          "detail --\n"
          "                            results are identical for every N)\n"
-         "  --frontier=MODE           dedup-table representation: auto "
-         "(default,\n"
-         "                            per-chunk heuristic), dense, or "
-         "sparse; an\n"
-         "                            execution detail -- results are "
-         "identical\n"
-         "                            for every mode\n"
          "  --json=PATH               checkpoint to PATH while running, "
          "then finalize\n"
          "                            it as a topocon-sweep-v1 document\n"
@@ -195,10 +187,6 @@ int usage(std::ostream& out, int code) {
          "(default 2)\n"
          "  --threads=N               pool size for the parallel checker "
          "legs\n"
-         "  --frontier=MODE           dedup-table representation for every "
-         "checker\n"
-         "                            leg (auto|dense|sparse, default "
-         "auto)\n"
          "  --trace=PATH              write a Chrome-trace span file of "
          "every\n"
          "                            checker leg\n"
@@ -261,7 +249,6 @@ enum class Format { kTable, kCsv };
 struct RunFlags {
   int threads = 0;
   std::size_t chunk_states = ExecutionOptions{}.chunk_states;  // --chunk
-  FrontierMode frontier = ExecutionOptions{}.frontier;         // --frontier
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -271,17 +258,24 @@ struct RunFlags {
   int fail_after = 0;  // 0 = disabled
 };
 
-/// Parses a --frontier value; returns false on an unknown mode (after
-/// printing to stderr).
-bool parse_frontier(std::string_view value, FrontierMode* mode) {
-  const std::optional<FrontierMode> parsed = frontier_mode_from_name(value);
-  if (!parsed.has_value()) {
-    std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
-                 "'sparse', got '"
-              << value << "'\n";
+/// Parses one scenario grid-override flag (--n, --param-min, --param-max,
+/// --seed, --count; shared by run/resume and `client submit`) into
+/// `overrides`. Returns false when `arg` is none of them; throws
+/// std::invalid_argument on a malformed value.
+bool parse_override(std::string_view arg, scenario::GridOverrides* overrides) {
+  if (const auto v = sweep::flag_value(arg, "n")) {
+    overrides->n = sweep::parse_int_value("n", *v);
+  } else if (const auto v = sweep::flag_value(arg, "param-min")) {
+    overrides->param_min = sweep::parse_int_value("param-min", *v);
+  } else if (const auto v = sweep::flag_value(arg, "param-max")) {
+    overrides->param_max = sweep::parse_int_value("param-max", *v);
+  } else if (const auto v = sweep::flag_value(arg, "seed")) {
+    overrides->seed = sweep::parse_uint64_value("seed", *v);
+  } else if (const auto v = sweep::flag_value(arg, "count")) {
+    overrides->count = sweep::parse_int_value("count", *v);
+  } else {
     return false;
   }
-  *mode = *parsed;
   return true;
 }
 
@@ -291,6 +285,7 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
     try {
+      if (parse_override(arg, &flags->overrides)) continue;
       if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_int_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "chunk")) {
@@ -300,8 +295,6 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
           return false;
         }
         flags->chunk_states = static_cast<std::size_t>(chunk);
-      } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        if (!parse_frontier(*v, &flags->frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "json")) {
         if (v->empty()) {
           std::cerr << "topocon: --json needs a non-empty path\n";
@@ -318,16 +311,6 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
                     << *v << "'\n";
           return false;
         }
-      } else if (const auto v = sweep::flag_value(arg, "n")) {
-        flags->overrides.n = sweep::parse_int_value("n", *v);
-      } else if (const auto v = sweep::flag_value(arg, "param-min")) {
-        flags->overrides.param_min = sweep::parse_int_value("param-min", *v);
-      } else if (const auto v = sweep::flag_value(arg, "param-max")) {
-        flags->overrides.param_max = sweep::parse_int_value("param-max", *v);
-      } else if (const auto v = sweep::flag_value(arg, "seed")) {
-        flags->overrides.seed = sweep::parse_uint64_value("seed", *v);
-      } else if (const auto v = sweep::flag_value(arg, "count")) {
-        flags->overrides.count = sweep::parse_int_value("count", *v);
       } else if (arg == "--metrics") {
         flags->metrics = true;
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
@@ -797,8 +780,7 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = flags.telemetry_json,
        .trace = trace.has_value() ? &*trace : nullptr,
-       .chunk_states = flags.chunk_states,
-       .frontier = flags.frontier});
+       .chunk_states = flags.chunk_states});
   std::vector<std::size_t> job_index(plan.queries.size());
   for (std::size_t j = 0; j < job_index.size(); ++j) job_index[j] = j;
   std::vector<std::optional<sweep::JobRecord>> records(plan.queries.size());
@@ -990,8 +972,7 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = telemetry_json,
        .trace = trace.has_value() ? &*trace : nullptr,
-       .chunk_states = flags.chunk_states,
-       .frontier = flags.frontier});
+       .chunk_states = flags.chunk_states});
   std::vector<std::optional<telemetry::JobTelemetry>> telemetry(
       queries.size());
   run_jobs(session, sweep_name, pending, job_index, &ckpt, flags.fail_after,
@@ -1014,7 +995,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
 struct FuzzFlags {
   scenario::FuzzSpec spec;
   int threads = 0;
-  FrontierMode frontier = ExecutionOptions{}.frontier;  // --frontier
   std::string trace_path;
 };
 
@@ -1032,8 +1012,6 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
         flags->spec.depth = sweep::parse_int_value("depth", *v);
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_int_value("threads", *v);
-      } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        if (!parse_frontier(*v, &flags->frontier)) return false;
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
         if (v->empty()) {
           std::cerr << "topocon: --trace needs a non-empty path\n";
@@ -1102,8 +1080,7 @@ int cmd_fuzz(const FuzzFlags& flags) {
   const SolvabilityOptions options =
       scenario::fuzz_solve_options(flags.spec.n);
   sweep::ThreadPool pool(flags.threads);
-  const ExecutionOptions on_pool{.parallel_for = sweep::parallel_for_of(pool),
-                                 .frontier = flags.frontier};
+  const ExecutionOptions on_pool{.parallel_for = sweep::parallel_for_of(pool)};
   ExecutionOptions finest = on_pool;
   finest.chunk_states = 1;
   std::ofstream trace_out;
@@ -1546,22 +1523,13 @@ int cmd_client(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
     try {
+      if (parse_override(arg, &overrides)) continue;
       if (const auto v = sweep::flag_value(arg, "socket")) {
         socket_path = *v;
       } else if (const auto v = sweep::flag_value(arg, "out")) {
         out_path = *v;
       } else if (arg == "--subscribe") {
         subscribe = true;
-      } else if (const auto v = sweep::flag_value(arg, "n")) {
-        overrides.n = sweep::parse_int_value("n", *v);
-      } else if (const auto v = sweep::flag_value(arg, "param-min")) {
-        overrides.param_min = sweep::parse_int_value("param-min", *v);
-      } else if (const auto v = sweep::flag_value(arg, "param-max")) {
-        overrides.param_max = sweep::parse_int_value("param-max", *v);
-      } else if (const auto v = sweep::flag_value(arg, "seed")) {
-        overrides.seed = sweep::parse_uint64_value("seed", *v);
-      } else if (const auto v = sweep::flag_value(arg, "count")) {
-        overrides.count = sweep::parse_int_value("count", *v);
       } else if (!arg.empty() && arg[0] == '-') {
         std::cerr << "topocon: unknown client argument '" << arg << "'\n";
         return 2;
@@ -1698,7 +1666,7 @@ int main(int argc, char** argv) {
         flags.overrides.seed.has_value() ||
         flags.overrides.count.has_value()) {
       std::cerr << "topocon: resume takes the checkpoint PATH plus "
-                   "--threads/--chunk/--frontier/--format/--metrics/"
+                   "--threads/--chunk/--format/--metrics/"
                    "--trace/--fail-after only (--telemetry-json travels "
                    "with the checkpoint)\n";
       return 2;
